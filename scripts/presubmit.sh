@@ -6,6 +6,9 @@
 #                   backticked paths across README/DESIGN/EXPERIMENTS/
 #                   ROADMAP must all resolve (scripts/check_docs.sh)
 #   1. default   — RelWithDebInfo build + the full tier-1 ctest suite
+#   1b. goldens  — every recorded bench's stdout and metrics JSON
+#                   byte-identical to bench_output.txt and bench_artifacts/
+#                   (scripts/check_goldens.sh, on the default build)
 #   2. asan-ubsan — every tier-1 test under ASan+UBSan
 #                   (-fno-sanitize-recover=all)
 #   3. tsan      — the parallel-driver, replica-runner, replicated-key-
@@ -54,6 +57,10 @@ echo "==== [docs] check_docs"
 scripts/check_docs.sh
 
 run_preset default
+
+echo "==== [goldens] recorded bench output (scripts/check_goldens.sh)"
+scripts/check_goldens.sh build
+
 run_preset asan-ubsan
 run_preset tsan
 
@@ -78,4 +85,4 @@ done
 echo "==== [soak] loopback UDP rekeying (scripts/soak_rekey.sh)"
 scripts/soak_rekey.sh build 1
 
-echo "==== presubmit OK: docs + default + asan-ubsan + tsan + psim + soak all green"
+echo "==== presubmit OK: docs + default + goldens + asan-ubsan + tsan + psim + soak all green"

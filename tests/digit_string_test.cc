@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -94,6 +97,116 @@ TEST(DigitString, AppendRejectsOverflowLength) {
   DigitString s;
   for (int i = 0; i < kMaxDigits; ++i) s.Append(0);
   EXPECT_THROW(s.Append(0), std::logic_error);
+}
+
+// Byte-loop references: the comparison operations' definitions, one digit
+// at a time, through the public accessors only.
+bool RefEqual(const DigitString& a, const DigitString& b) {
+  if (a.size() != b.size()) return false;
+  for (int i = 0; i < a.size(); ++i) {
+    if (a.digit(i) != b.digit(i)) return false;
+  }
+  return true;
+}
+
+bool RefLess(const DigitString& a, const DigitString& b) {
+  const int n = std::min(a.size(), b.size());
+  for (int i = 0; i < n; ++i) {
+    if (a.digit(i) != b.digit(i)) return a.digit(i) < b.digit(i);
+  }
+  return a.size() < b.size();
+}
+
+int RefCommonPrefixLen(const DigitString& a, const DigitString& b) {
+  const int n = std::min(a.size(), b.size());
+  for (int i = 0; i < n; ++i) {
+    if (a.digit(i) != b.digit(i)) return i;
+  }
+  return n;
+}
+
+bool RefIsPrefixOf(const DigitString& a, const DigitString& b) {
+  return a.size() <= b.size() && RefCommonPrefixLen(a, b) == a.size();
+}
+
+// FNV-1a over (size, digits): the hash unordered containers of IDs iterate
+// by, so it must never change.
+std::size_t RefHash(const DigitString& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  mix(static_cast<std::uint64_t>(s.size()));
+  for (int i = 0; i < s.size(); ++i) {
+    mix(static_cast<std::uint64_t>(s.digit(i)));
+  }
+  return static_cast<std::size_t>(h);
+}
+
+// Every pair from a pool of strings of lengths 0-8 over the extreme digits
+// {0, 1, 254, 255}, built through every constructor and mutator that can
+// shorten or rewrite a string (Prefix, Parent, SetDigit, FromDigits), agrees
+// with the byte-loop references on ==, <, IsPrefixOf, CommonPrefixLen and
+// Hash.
+TEST(DigitString, ComparisonsMatchByteLoopReference) {
+  const int kDigits[] = {0, 1, 254, 255};
+  std::vector<DigitString> pool;
+  // All strings of length 0-3.
+  pool.push_back(DigitString{});
+  for (std::size_t from = 0, len = 1; len <= 3; ++len) {
+    const std::size_t to = pool.size();
+    for (std::size_t i = from; i < to; ++i) {
+      for (int d : kDigits) pool.push_back(pool[i].Child(d));
+    }
+    from = to;
+  }
+  // Long strings: random full-length strings, every prefix of each (by
+  // Prefix and by repeated Parent), and every prefix with its last digit
+  // rewritten to each other digit of the set.
+  Rng rng(2005);
+  for (int s = 0; s < 24; ++s) {
+    std::uint8_t raw[kMaxDigits];
+    for (std::uint8_t& d : raw) {
+      d = static_cast<std::uint8_t>(kDigits[rng.UniformInt(0, 3)]);
+    }
+    const DigitString full = DigitString::FromDigits(raw, kMaxDigits);
+    DigitString up = full;
+    for (int len = kMaxDigits; len >= 1; --len) {
+      const DigitString p = full.Prefix(len);
+      EXPECT_TRUE(RefEqual(p, up));
+      pool.push_back(up);
+      for (int d : kDigits) {
+        if (d == p.LastDigit()) continue;
+        DigitString m = p;
+        m.SetDigit(len - 1, d);
+        pool.push_back(m);
+      }
+      up = up.Parent();
+    }
+  }
+
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const DigitString& a : pool) {
+    if (a.Hash() != RefHash(a)) {
+      ++mismatches;
+      if (first.empty()) first = "Hash " + a.ToString();
+    }
+    for (const DigitString& b : pool) {
+      const bool ok = (a == b) == RefEqual(a, b) &&
+                      (a != b) == !RefEqual(a, b) &&
+                      (a < b) == RefLess(a, b) &&
+                      a.IsPrefixOf(b) == RefIsPrefixOf(a, b) &&
+                      a.CommonPrefixLen(b) == RefCommonPrefixLen(a, b);
+      if (!ok) {
+        ++mismatches;
+        if (first.empty()) first = a.ToString() + " vs " + b.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+  EXPECT_GT(pool.size(), 800u);
 }
 
 class DigitStringPropertyTest : public ::testing::TestWithParam<int> {};

@@ -4,7 +4,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "topology/gtitm.h"
 #include "topology/planetlab.h"
 
 namespace tmesh {
@@ -157,6 +160,119 @@ TEST(IdAssignment, ServerTailWhenNobodyIsClose) {
     first_digits.insert(id->digit(0));
   }
   EXPECT_EQ(first_digits.size(), 11u);
+}
+
+// Churn golden: every ID AssignId hands out and every IdAssignStats field,
+// over joins, graceful leaves, and crashed (MarkFailed) members whose records
+// stay in other members' tables until RepairFailure. Each join's line is
+// folded into one FNV-1a digest; the totals make a mismatch easier to read.
+struct ChurnGolden {
+  std::uint64_t digest = 1469598103934665603ull;
+  long joins = 0;
+  long queries = 0;
+  long rtt_probes = 0;
+  long self_digits = 0;
+  long server_tails = 0;
+};
+
+ChurnGolden RunAssignmentChurn(const Network& net, const GroupParams& group,
+                               const IdAssignParams& params,
+                               std::uint64_t seed, int ops, int max_members) {
+  Directory dir(net, group, 0);
+  IdAssigner assigner(dir, params, seed);
+  Rng rng(seed * 31 + 7);
+  std::vector<HostId> free_hosts;
+  for (HostId h = net.host_count() - 1; h >= 1; --h) free_hosts.push_back(h);
+  std::vector<UserId> failed;  // crashed, not yet repaired
+  ChurnGolden g;
+  auto pick_alive = [&] {
+    const std::vector<UserId> alive = dir.AliveMembers();
+    return alive[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(alive.size()) - 1))];
+  };
+  for (int op = 0; op < ops; ++op) {
+    const double r = rng.UniformReal(0.0, 1.0);
+    const bool can_join =
+        !free_hosts.empty() && dir.member_count() < max_members;
+    if (can_join && (dir.alive_count() < 8 || r < 0.55)) {
+      const std::size_t k = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(free_hosts.size()) - 1));
+      const HostId h = free_hosts[k];
+      free_hosts[k] = free_hosts.back();
+      free_hosts.pop_back();
+      IdAssignStats st;
+      std::optional<UserId> id = assigner.AssignId(h, &st);
+      EXPECT_TRUE(id.has_value());
+      if (!id.has_value()) return g;
+      const std::string line =
+          std::to_string(h) + " " + id->ToString() + " " +
+          std::to_string(st.queries) + " " + std::to_string(st.rtt_probes) +
+          " " + std::to_string(st.digits_self_determined) + " " +
+          (st.server_assigned_tail ? "1" : "0") + "\n";
+      for (char c : line) {
+        g.digest ^= static_cast<unsigned char>(c);
+        g.digest *= 1099511628211ull;
+      }
+      ++g.joins;
+      g.queries += st.queries;
+      g.rtt_probes += st.rtt_probes;
+      g.self_digits += st.digits_self_determined;
+      g.server_tails += st.server_assigned_tail ? 1 : 0;
+      dir.AddMember(*id, h, op);
+    } else if (r < 0.75 || (r < 0.88 && dir.alive_count() <= 2)) {
+      const UserId id = pick_alive();
+      free_hosts.push_back(dir.HostOf(id));
+      dir.RemoveMember(id);
+    } else if (r < 0.88) {
+      const UserId id = pick_alive();
+      dir.MarkFailed(id);
+      failed.push_back(id);
+    } else if (!failed.empty()) {
+      const UserId id = failed.front();
+      failed.erase(failed.begin());
+      free_hosts.push_back(dir.HostOf(id));
+      dir.RepairFailure(id);
+    }
+  }
+  return g;
+}
+
+TEST(IdAssignment, ChurnGoldenGtItm) {
+  // The paper's parameters (D=5, B=256, K=4, P=10, F=90, R=(150,30,9,3) ms)
+  // on a ~1000-router transit-stub graph.
+  GtItmParams tp;
+  tp.seed = 17;
+  tp.transit_domains = 4;
+  tp.transit_routers_per_domain = 4;
+  GtItmNetwork net(tp, 601, 19);
+  const ChurnGolden g =
+      RunAssignmentChurn(net, GroupParams{5, 256, 4}, IdAssignParams{}, 3,
+                         900, 600);
+  EXPECT_EQ(g.digest, 17263555415284305924ull);
+  EXPECT_EQ(g.joins, 486);
+  EXPECT_EQ(g.queries, 13887);
+  EXPECT_EQ(g.rtt_probes, 37838);
+  EXPECT_EQ(g.self_digits, 1770);
+  EXPECT_EQ(g.server_tails, 129);
+}
+
+TEST(IdAssignment, ChurnGoldenPlanetLabSmallIdSpace) {
+  // A 3-digit base-4 ID space (64 IDs) that churn keeps nearly full (at
+  // most 56 members, live or crashed), so the key server's tail and
+  // footnote-3 fallbacks run often.
+  PlanetLabParams np;
+  np.hosts = 90;
+  np.seed = 23;
+  PlanetLabNetwork net(np);
+  IdAssignParams p = SmallParams(3);
+  const ChurnGolden g =
+      RunAssignmentChurn(net, GroupParams{3, 4, 2}, p, 11, 700, 56);
+  EXPECT_EQ(g.digest, 2232587784617621964ull);
+  EXPECT_EQ(g.joins, 325);
+  EXPECT_EQ(g.queries, 2077);
+  EXPECT_EQ(g.rtt_probes, 5677);
+  EXPECT_EQ(g.self_digits, 234);
+  EXPECT_EQ(g.server_tails, 207);
 }
 
 }  // namespace
