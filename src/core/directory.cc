@@ -410,24 +410,6 @@ void Directory::RefillServer(int digit) {
   }
 }
 
-std::vector<NeighborRecord> Directory::QueryRecords(
-    const UserId& w, const DigitString& target_prefix) const {
-  const MemberInfo& info = Info(w);
-  std::vector<NeighborRecord> out;
-  if (target_prefix.IsPrefixOf(w)) {
-    out.push_back(MakeRecord(info, info.host));  // rtt 0 to self; id is what matters
-  }
-  for (int i = 0; i < info.table.rows(); ++i) {
-    for (const auto& [digit, entry] : info.table.row(i)) {
-      (void)digit;
-      for (const NeighborRecord& rec : entry) {
-        if (target_prefix.IsPrefixOf(rec.id)) out.push_back(rec);
-      }
-    }
-  }
-  return out;
-}
-
 void Directory::CheckKConsistency() const {
   const int d = params_.digits;
   const int k = params_.capacity;

@@ -123,12 +123,32 @@ class Directory : public GroupView {
   // user as its first contact, §3.1.1). Nullopt if the group is empty.
   std::optional<UserId> RandomAliveMember(Rng& rng) const;
 
-  // The records a member `w` would return for a query with `target_prefix`
-  // (§3.1.1): every neighbor in w's table whose ID has the prefix, plus w's
-  // own record if it matches. Only alive neighbors respond to the follow-up
-  // RTT probes, but the query returns whatever the table holds.
-  std::vector<NeighborRecord> QueryRecords(const UserId& w,
-                                           const DigitString& target_prefix) const;
+  // Calls visit(record) for each record a member `w` returns for a query
+  // with `target_prefix` (§3.1.1): w's own record first if it matches (with
+  // rtt_ms 0, the RTT to itself), then every neighbor in w's table whose ID
+  // has the prefix, in table order. Only alive neighbors respond to the
+  // follow-up RTT probes, but the query returns whatever the table holds.
+  // `visit` must not modify the directory.
+  template <typename Visit>
+  void VisitQueryRecords(const UserId& w, const DigitString& target_prefix,
+                         Visit&& visit) const {
+    const MemberInfo& info = Info(w);
+    // Row i holds records sharing exactly i digits with w, so when w has
+    // the prefix, no record in a row shorter than the prefix matches.
+    int first_row = 0;
+    if (target_prefix.IsPrefixOf(w)) {
+      visit(NeighborRecord{info.id, info.host, 0.0, info.join_time});
+      first_row = target_prefix.size();
+    }
+    for (int i = first_row; i < info.table.rows(); ++i) {
+      for (const auto& [digit, entry] : info.table.row(i)) {
+        (void)digit;
+        for (const NeighborRecord& rec : entry) {
+          if (target_prefix.IsPrefixOf(rec.id)) visit(rec);
+        }
+      }
+    }
+  }
 
   // --- observability ----------------------------------------------------
   // Monotonic operation counters; tests snapshot deltas to pin admission

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
+#include <utility>
 
 #include "common/stats.h"
 
@@ -114,56 +114,69 @@ std::optional<UserId> IdAssigner::AssignId(HostId joiner,
     seeds.push_back(rec);
   }
 
+  // Step-1 buckets, indexed by digit and reused across levels: buckets[j]
+  // holds collected users whose IDs extend my_prefix with digit j, in
+  // collection order, and `order` lists the digits whose bucket is non-empty,
+  // ascending. Records are only appended and each query takes its bucket's
+  // first unqueried record, so the queried records are always a prefix of
+  // the bucket: [0, queried).
+  struct Bucket {
+    std::vector<NeighborRecord> recs;
+    std::size_t queried = 0;
+  };
+  std::vector<Bucket> buckets(static_cast<std::size_t>(dir_.params().base));
+  std::vector<int> order;
+  const auto target = static_cast<std::size_t>(params_.collect_target);
+
   for (int i = 0; i <= d - 2; ++i) {
     // ---- Step 1: collect up to P records per (i,j)-ID subtree. ----------
-    // collected[j] holds users whose IDs extend my_prefix with digit j.
-    std::map<int, std::vector<NeighborRecord>> collected;
-    std::unordered_set<DigitString> seen;
-    std::unordered_set<DigitString> queried;
+    for (int j : order) {
+      buckets[static_cast<std::size_t>(j)].recs.clear();
+      buckets[static_cast<std::size_t>(j)].queried = 0;
+    }
+    order.clear();
 
     auto admit = [&](const NeighborRecord& rec) {
       if (!my_prefix.IsPrefixOf(rec.id)) return;
-      if (!dir_.IsAlive(rec.id)) return;
-      auto& bucket = collected[rec.id.digit(i)];
+      const int j = rec.id.digit(i);
+      Bucket& bucket = buckets[static_cast<std::size_t>(j)];
       // The joiner only needs P users per subtree (§3.1.1) — extra records
       // would just cost extra RTT probes in step 2.
-      if (static_cast<int>(bucket.size()) >= params_.collect_target) return;
-      if (!seen.insert(rec.id).second) return;
-      bucket.push_back(rec);
+      if (bucket.recs.size() >= target) return;
+      for (const NeighborRecord& have : bucket.recs) {
+        if (have.id == rec.id) return;  // already collected
+      }
+      // The directory lookup comes last: most records are rejected above.
+      if (!dir_.IsAlive(rec.id)) return;
+      if (bucket.recs.empty()) {
+        order.insert(std::lower_bound(order.begin(), order.end(), j), j);
+      }
+      bucket.recs.push_back(rec);
     };
     for (const NeighborRecord& s : seeds) admit(s);
 
     // Keep querying: per subtree j, query collected-but-unqueried users
     // until P records are in hand for j or everyone collected from j has
-    // been queried (§3.1.1).
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto& [j, recs] : collected) {
-        if (static_cast<int>(recs.size()) >= params_.collect_target) continue;
-        // Find an unqueried user collected from this subtree.
-        NeighborRecord target;
-        bool found = false;
-        for (const NeighborRecord& rec : recs) {
-          if (queried.count(rec.id) == 0) {
-            target = rec;
-            found = true;
-            break;
-          }
+    // been queried (§3.1.1). Each round queries the first such subtree in
+    // digit order, since a reply may fill several subtrees.
+    while (true) {
+      Bucket* next = nullptr;
+      for (int j : order) {
+        Bucket& bucket = buckets[static_cast<std::size_t>(j)];
+        if (bucket.recs.size() < target &&
+            bucket.queried < bucket.recs.size()) {
+          next = &bucket;
+          break;
         }
-        if (!found) continue;
-        queried.insert(target.id);
-        ++st.queries;
-        for (const NeighborRecord& rec :
-             dir_.QueryRecords(target.id, my_prefix)) {
-          admit(rec);
-        }
-        progress = true;
-        break;  // re-scan: the reply may have filled several subtrees
       }
+      if (next == nullptr) break;
+      // Copy: the reply may append to this bucket.
+      const UserId queried = next->recs[next->queried++].id;
+      ++st.queries;
+      dir_.VisitQueryRecords(queried, my_prefix, admit);
     }
 
-    if (collected.empty()) {
+    if (order.empty()) {
       // Nobody in this subtree (can happen when the seed users left):
       // fall through to the key server.
       st.server_assigned_tail = true;
@@ -173,7 +186,9 @@ std::optional<UserId> IdAssigner::AssignId(HostId joiner,
     // ---- Steps 2+3: measure gateway RTTs, pick the closest subtree. -----
     int best_digit = -1;
     double best_f = 0.0;
-    for (auto& [j, recs] : collected) {
+    for (int j : order) {
+      const std::vector<NeighborRecord>& recs =
+          buckets[static_cast<std::size_t>(j)].recs;
       std::vector<double> rtts;
       rtts.reserve(recs.size());
       for (const NeighborRecord& rec : recs) {
@@ -192,7 +207,7 @@ std::optional<UserId> IdAssigner::AssignId(HostId joiner,
       // Close enough: adopt the digit and descend (§3.1.3 case 1).
       my_prefix.Append(best_digit);
       ++st.digits_self_determined;
-      seeds = collected[best_digit];
+      seeds = std::move(buckets[static_cast<std::size_t>(best_digit)].recs);
       continue;
     }
     // Not close to anyone (§3.1.3 case 2): the key server assigns the rest.

@@ -85,12 +85,21 @@ TEST(Directory, QueryRecordsReturnsMatchingPrefixes) {
   dir.AddMember(UserId{0, 1}, 2, 2);
   dir.AddMember(UserId{1, 0}, 3, 3);
 
-  auto recs = dir.QueryRecords(UserId{0, 0}, DigitString{0});
-  // Its own record plus [0,1]; never [1,0].
+  std::vector<NeighborRecord> recs;
+  dir.VisitQueryRecords(UserId{0, 0}, DigitString{0},
+                        [&](const NeighborRecord& r) { recs.push_back(r); });
+  // Its own record first, then [0,1]; never [1,0].
   ASSERT_EQ(recs.size(), 2u);
-  for (const auto& r : recs) {
-    EXPECT_TRUE((DigitString{0}).IsPrefixOf(r.id));
-  }
+  EXPECT_EQ(recs[0].id, (UserId{0, 0}));
+  EXPECT_EQ(recs[0].host, 1);
+  EXPECT_EQ(recs[1].id, (UserId{0, 1}));
+
+  // A prefix the queried member lies outside: only matching neighbors.
+  recs.clear();
+  dir.VisitQueryRecords(UserId{0, 0}, DigitString{1},
+                        [&](const NeighborRecord& r) { recs.push_back(r); });
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].id, (UserId{1, 0}));
 }
 
 TEST(Directory, RejectsDuplicatesAndUnknowns) {

@@ -25,6 +25,7 @@
 #include "protocols/latency_figure.h"
 #include "protocols/rekey_cost_experiment.h"
 #include "sim/replica_runner.h"
+#include "topology/gtitm.h"
 
 namespace tmesh {
 namespace {
@@ -202,6 +203,46 @@ TEST(ReplicaRunner, RekeyCostCellsAreThreadCountInvariant) {
       EXPECT_EQ(parallel[i].modified, sequential[i].modified) << i;
       EXPECT_EQ(parallel[i].original, sequential[i].original) << i;
       EXPECT_EQ(parallel[i].cluster, sequential[i].cluster) << i;
+    }
+  }
+}
+
+TEST(ReplicaRunner, ReplicasShareOneGraphsShortestPaths) {
+  // Replicas of the ablation benches share one network. Their first
+  // queries race to build the graph's compressed adjacency and fill the
+  // shortest-path cache, and each worker reuses its own bucket-queue
+  // scratch; every tree must still equal the one a single thread computes.
+  GtItmParams p;
+  p.seed = 31;
+  p.transit_domains = 3;
+  p.transit_routers_per_domain = 3;
+  p.stub_domains_per_transit_router = 2;
+  p.stub_routers_min = 4;
+  p.stub_routers_max = 7;
+  const int hosts = 24;
+  GtItmNetwork alone(p, hosts, 5);
+  for (int threads : {2, 7}) {
+    GtItmNetwork shared(p, hosts, 5);  // adjacency and cache still empty
+    ReplicaRunner runner(threads);
+    std::vector<std::vector<float>> dist(static_cast<std::size_t>(hosts));
+    runner.Run(
+        hosts,
+        [&](ReplicaRunner::Replica& rep) {
+          const HostId h = rep.index;
+          // The cached tree plus a fresh one on this worker's scratch.
+          std::vector<float> d = shared.SptFromHost(h).dist_ms;
+          const Graph::SptResult fresh =
+              shared.graph().Dijkstra(shared.attach_router(h));
+          EXPECT_EQ(fresh.dist_ms, d);
+          return d;
+        },
+        [&](int i, std::vector<float>&& d) {
+          dist[static_cast<std::size_t>(i)] = std::move(d);
+        });
+    for (HostId h = 0; h < hosts; ++h) {
+      EXPECT_EQ(dist[static_cast<std::size_t>(h)],
+                alone.SptFromHost(h).dist_ms)
+          << "host " << h << " threads " << threads;
     }
   }
 }
