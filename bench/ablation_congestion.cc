@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     MetricsRegistry reg;
   };
   const std::vector<double> speeds = {64.0, 256.0, 1024.0, 10240.0};
-  ReplicaRunner runner(f.Threads(), f.SimOptions());
+  ReplicaRunner runner(f.Threads());
   runner.Run(
       static_cast<int>(speeds.size()),
       [&](ReplicaRunner::Replica& rep) {
@@ -98,10 +98,9 @@ int main(int argc, char** argv) {
             msg_bytes += static_cast<double>(WireSize(e));
           }
           double msg_ms = msg_bytes * 8.0 / kbps;
-          RunUntilSliced(rep.sim, rep.sim.Now() + FromMillis(3.0 * msg_ms + 50.0),
-                         f.step);
+          rep.sim.RunUntil(rep.sim.Now() + FromMillis(3.0 * msg_ms + 50.0));
           handles.push_back(tmesh.BeginData(*sender));
-          DrainSliced(rep.sim, f.step);
+          rep.sim.Run();
           if (art.metrics() != nullptr) {
             tmesh.FlushMetrics();
             ExportSimMetrics(rep.sim, out.reg);

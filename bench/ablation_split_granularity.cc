@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     std::string row;
     MetricsRegistry reg;
   };
-  ReplicaRunner runner(f.Threads(), f.SimOptions());
+  ReplicaRunner runner(f.Threads());
   runner.Run(
       static_cast<int>(std::size(variants)),
       [&](ReplicaRunner::Replica& rep) {

@@ -4,7 +4,9 @@
 // text table (see EXPERIMENTS.md for the mapping and the expected shapes).
 // Each binary registers a FigureSpec {name, title, order, recorded} and
 // parses the one shared flag surface, so usage text, validation, and the
-// machine-readable --spec handshake are identical across the suite.
+// machine-readable --spec handshake are identical across the suite. Every
+// bench runs on the one sequential simulator; the only parallelism is
+// across replicas (--threads).
 // scripts/regen_experiments.sh discovers the benches by probing every
 // build/bench executable with --spec — no hard-coded list to drift.
 //
@@ -17,22 +19,6 @@
 //                1 runs the old sequential loop). Stdout is byte-identical
 //                for every N — only wall-clock and the ordering of stderr
 //                progress notes change.
-//   --step=N     drive simulator drains in RunFor slices of N events
-//                (0 = monolithic). Stdout is byte-identical for every N.
-//   --psim-threads=N
-//                drain each replica's multicast on the conservative
-//                parallel driver with N workers (latency figures only;
-//                0 = the sequential simulator). Stdout is byte-identical
-//                for every N — the knob trades wall-clock for cores, never
-//                numbers. See DESIGN.md §3i.
-//   --discipline=calendar|heap
-//                event-queue discipline for every simulator the bench
-//                constructs. Stdout is byte-identical for either.
-//   --static-calendar
-//                disable the calendar queue's adaptive epoch retuning
-//                (geometry only; stdout is byte-identical). The
-//                chunked-execution acceptance sweep drives every bench
-//                across step x discipline x retuning and diffs the output.
 //   --metrics-json=PATH
 //                write the bench's metrics-registry snapshot (counters,
 //                gauges, histograms — see src/metrics/registry.h) to PATH
@@ -80,12 +66,8 @@ struct Flags {
   int runs = -1;          // -1: driver default
   int users = -1;
   int threads = 0;        // 0: hardware concurrency
-  int psim = 0;           // parallel-driver workers; 0: sequential drains
-  std::size_t step = 0;   // RunFor slice size; 0: monolithic drains
   std::uint64_t seed = 1;
   bool full = false;      // paper-scale settings
-  QueueDiscipline discipline = QueueDiscipline::kCalendar;
-  bool adaptive_retune = true;
   std::string metrics_json;  // empty: no metrics artifact
   std::string trace_json;    // empty: no trace artifact
 
@@ -94,35 +76,15 @@ struct Flags {
     return threads > 0 ? threads : ReplicaRunner::HardwareThreads();
   }
 
-  // Construction options for every Simulator the bench builds (directly or
-  // through ReplicaRunner workers). Queue geometry cannot reorder events,
-  // so output is byte-identical for every combination.
-  Simulator::Options SimOptions() const {
-    return Simulator::Options{.discipline = discipline,
-                              .adaptive_retune = adaptive_retune};
-  }
-
   static void Usage(const FigureSpec& spec, const char* argv0) {
     std::fprintf(stderr,
                  "%s — %s\n"
                  "usage: %s [--runs=N] [--users=N] [--seed=N] [--threads=N] "
-                 "[--step=N] [--full]\n"
+                 "[--full]\n"
                  "  --threads=N  replica worker threads (default: hardware "
                  "concurrency;\n"
                  "               1 = sequential; stdout is identical for "
                  "every N)\n"
-                 "  --step=N     drive simulator drains in RunFor slices of "
-                 "N events\n"
-                 "               (0 = monolithic; stdout is identical for "
-                 "every N)\n"
-                 "  --psim-threads=N  drain each replica on the parallel "
-                 "driver with N\n"
-                 "               workers (0 = sequential; stdout is "
-                 "identical for every N)\n"
-                 "  --discipline=calendar|heap  event-queue discipline "
-                 "(identical stdout)\n"
-                 "  --static-calendar  disable adaptive calendar retuning "
-                 "(identical stdout)\n"
                  "  --metrics-json=PATH  write the metrics-registry JSON "
                  "snapshot to PATH\n"
                  "  --trace-json=PATH    write a chrome://tracing span dump "
@@ -169,26 +131,10 @@ struct Flags {
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
         f.threads = static_cast<int>(
             ParseNum(argv[0], "--threads", a + 10, 1, 4096));
-      } else if (std::strncmp(a, "--psim-threads=", 15) == 0) {
-        f.psim = static_cast<int>(
-            ParseNum(argv[0], "--psim-threads", a + 15, 0, 256));
-      } else if (std::strncmp(a, "--step=", 7) == 0) {
-        f.step = static_cast<std::size_t>(
-            ParseNum(argv[0], "--step", a + 7, 0, 1 << 30));
       } else if (std::strncmp(a, "--seed=", 7) == 0) {
         f.seed = static_cast<std::uint64_t>(ParseNum(
             argv[0], "--seed", a + 7, 0,
             std::numeric_limits<long long>::max()));
-      } else if (std::strncmp(a, "--discipline=", 13) == 0) {
-        if (std::strcmp(a + 13, "calendar") == 0) {
-          f.discipline = QueueDiscipline::kCalendar;
-        } else if (std::strcmp(a + 13, "heap") == 0) {
-          f.discipline = QueueDiscipline::kBinaryHeap;
-        } else {
-          Usage(spec, argv[0]);
-        }
-      } else if (std::strcmp(a, "--static-calendar") == 0) {
-        f.adaptive_retune = false;
       } else if (std::strncmp(a, "--metrics-json=", 15) == 0) {
         f.metrics_json = a + 15;
         if (f.metrics_json.empty()) Usage(spec, argv[0]);
@@ -266,10 +212,7 @@ inline std::unique_ptr<Network> MakeNetwork(Topo topo, int hosts,
 // protocols/latency_figure.h for the workload and the determinism contract.
 inline void RunLatencyFigure(const std::string& title, Topo topo, int users,
                              bool data_path, int runs, std::uint64_t seed,
-                             int threads, std::size_t step = 0,
-                             const Simulator::Options& sim_options = {},
-                             Artifacts* artifacts = nullptr,
-                             int psim_threads = 0) {
+                             int threads, Artifacts* artifacts = nullptr) {
   LatencyFigureConfig cfg;
   cfg.title = title;
   cfg.topo = topo;
@@ -280,9 +223,6 @@ inline void RunLatencyFigure(const std::string& title, Topo topo, int users,
   cfg.threads = threads;
   cfg.session = PaperSession();
   cfg.progress = true;
-  cfg.step_events = step;
-  cfg.sim_options = sim_options;
-  cfg.psim_workers = psim_threads;
   if (artifacts != nullptr) {
     cfg.metrics = artifacts->metrics();
     cfg.tracer = artifacts->tracer();

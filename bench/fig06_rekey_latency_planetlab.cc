@@ -16,6 +16,6 @@ int main(int argc, char** argv) {
   RunLatencyFigure("Fig 6: rekey path latency, PlanetLab, " +
                        std::to_string(users) + " joins",
                    Topo::kPlanetLab, users, /*data_path=*/false, runs, f.seed,
-                   f.Threads(), f.step, f.SimOptions(), &art, f.psim);
+                   f.Threads(), &art);
   return 0;
 }

@@ -12,6 +12,6 @@ int main(int argc, char** argv) {
   RunLatencyFigure("Fig 8: rekey path latency, GT-ITM, " +
                        std::to_string(users) + " joins",
                    Topo::kGtItm, users, /*data_path=*/false, runs, f.seed,
-                   f.Threads(), f.step, f.SimOptions(), &art, f.psim);
+                   f.Threads(), &art);
   return 0;
 }

@@ -12,6 +12,6 @@ int main(int argc, char** argv) {
   RunLatencyFigure("Fig 9: data path latency, PlanetLab, " +
                        std::to_string(users) + " joins",
                    Topo::kPlanetLab, users, /*data_path=*/true, runs, f.seed,
-                   f.Threads(), f.step, f.SimOptions(), &art, f.psim);
+                   f.Threads(), &art);
   return 0;
 }

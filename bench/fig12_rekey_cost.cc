@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   cfg.seed = f.seed;
   cfg.initial_users = f.users > 0 ? f.users : 1024;
   cfg.threads = f.Threads();
-  cfg.sim_options = f.SimOptions();
   cfg.session = PaperSession();
   if (f.full) {
     cfg.grid = {0, 128, 256, 384, 512, 640, 768, 896, 1024};

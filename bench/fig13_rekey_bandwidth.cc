@@ -23,8 +23,6 @@ int main(int argc, char** argv) {
   cfg.batch_joins = cfg.initial_users / 4;
   cfg.batch_leaves = cfg.initial_users / 4;
   cfg.session = PaperSession();
-  cfg.step_events = f.step;
-  cfg.sim_options = f.SimOptions();
 
   std::fprintf(stderr, "building %d-user group + %d joins/%d leaves...\n",
                cfg.initial_users, cfg.batch_joins, cfg.batch_leaves);

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     LatencyRunResult res;
     MetricsRegistry reg;
   };
-  ReplicaRunner runner(f.Threads(), f.SimOptions());
+  ReplicaRunner runner(f.Threads());
   runner.Run(
       static_cast<int>(variants.size()),
       [&](ReplicaRunner::Replica& rep) {
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
         cfg.session.with_nice = false;
         cfg.session.group.digits = v.digits;
         cfg.session.assign.thresholds_ms = v.thresholds;
-        cfg.step_events = f.step;
         VariantOut out;
         if (art.metrics() != nullptr) cfg.metrics = &out.reg;
         out.res = RunLatencyExperiment(*net, cfg, f.seed * 7 + 13, &rep.sim);

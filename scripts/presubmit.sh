@@ -11,16 +11,13 @@
 #                   (scripts/check_goldens.sh, on the default build)
 #   2. asan-ubsan — every tier-1 test under ASan+UBSan
 #                   (-fno-sanitize-recover=all)
-#   3. tsan      — the parallel-driver, replica-runner, replicated-key-
-#                   server, simulator, metrics-registry, and transport
-#                   suites under ThreadSanitizer (the registry suite
-#                   exercises the cross-replica merge at --threads>1; the
-#                   transport conformance suite and the multi-process smoke
-#                   exercise UdpTransport's event-loop thread)
-#   4. psim      — parallel-driver byte identity at figure level: fig08 and
-#                   fig11 stdout diffed across the sequential drain and
-#                   --psim-threads in {1, 2, 7} (DESIGN.md §3i)
-#   5. soak      — one scripts/soak_rekey.sh round: the multi-process
+#   3. tsan      — the replica-runner, replicated-key-server, simulator,
+#                   metrics-registry, and transport suites under
+#                   ThreadSanitizer (the registry suite exercises the
+#                   cross-replica merge at --threads>1; the transport
+#                   conformance suite and the multi-process smoke exercise
+#                   UdpTransport's event-loop thread)
+#   4. soak      — one scripts/soak_rekey.sh round: the multi-process
 #                   join/leave/rekey demo over real loopback UDP, asserting
 #                   decryption closure + forward secrecy from wire bytes
 #
@@ -64,25 +61,7 @@ scripts/check_goldens.sh build
 run_preset asan-ubsan
 run_preset tsan
 
-echo "==== [psim] figure-level byte identity across --psim-threads"
-psim_tmp="$(mktemp -d)"
-trap 'rm -rf "$psim_tmp"' EXIT
-for fig in fig08_rekey_latency_gtitm1024 fig11_data_latency_gtitm1024; do
-  "build/bench/$fig" --users=96 --runs=1 --threads=1 \
-    > "$psim_tmp/$fig.seq" 2>/dev/null
-  for w in 1 2 7; do
-    "build/bench/$fig" --users=96 --runs=1 --threads=1 --psim-threads="$w" \
-      > "$psim_tmp/$fig.w$w" 2>/dev/null
-    if ! cmp -s "$psim_tmp/$fig.seq" "$psim_tmp/$fig.w$w"; then
-      echo "FAIL: $fig --psim-threads=$w diverged from the sequential drain" >&2
-      diff "$psim_tmp/$fig.seq" "$psim_tmp/$fig.w$w" >&2 || true
-      exit 1
-    fi
-    echo "  $fig --psim-threads=$w: identical"
-  done
-done
-
 echo "==== [soak] loopback UDP rekeying (scripts/soak_rekey.sh)"
 scripts/soak_rekey.sh build 1
 
-echo "==== presubmit OK: docs + default + goldens + asan-ubsan + tsan + psim + soak all green"
+echo "==== presubmit OK: docs + default + goldens + asan-ubsan + tsan + soak all green"

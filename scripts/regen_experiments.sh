@@ -95,12 +95,4 @@ echo "== micro_scale (smoke, not recorded) =="
 ./build/bench/micro_scale --users=10000 --runs=2 --full \
   --metrics-json="$artifacts/micro_scale.metrics.json" > /dev/null
 
-# Parallel-driver scaling (wall-clock, not recorded): the smoke point still
-# FATALs if any worker count diverges from the sequential event history, so
-# this run is a byte-identity check even on one core. BENCH_psim.json
-# records a measured table (regenerate with ./build/bench/micro_psim; the
-# fig08/fig11 psim arms come from --psim-threads, see EXPERIMENTS.md).
-echo "== micro_psim (smoke, not recorded) =="
-./build/bench/micro_psim --users=64 --runs=120 > /dev/null
-
 echo "Wrote $out and $artifacts/*.metrics.json"

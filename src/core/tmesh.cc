@@ -26,18 +26,6 @@ struct TMesh::Handle::Session {
   std::uint32_t group_key_enc_bytes = 0;
   // Groups this session's trace spans (the chrome-trace pid).
   std::int64_t trace_id = 0;
-  // Per-lane transmission counts (multi-lane transports only): worker lanes
-  // cannot share the plain-int result counter, so each lane accumulates its
-  // own and FoldLaneCounts() sums them — a thread-count-invariant total —
-  // before the result is observed.
-  std::vector<std::int64_t> lane_messages_sent;
-
-  void FoldLaneCounts() {
-    for (std::int64_t& n : lane_messages_sent) {
-      result.messages_sent += static_cast<int>(n);
-      n = 0;
-    }
-  }
 };
 
 TMesh::Handle::Handle(std::unique_ptr<Session> s) : session_(std::move(s)) {}
@@ -47,13 +35,11 @@ TMesh::Handle::~Handle() = default;
 
 const TMesh::Result& TMesh::Handle::result() const {
   TMESH_CHECK(session_ != nullptr);
-  session_->FoldLaneCounts();
   return session_->result;
 }
 
 TMesh::Result TMesh::Handle::TakeResult() {
   TMESH_CHECK(session_ != nullptr);
-  session_->FoldLaneCounts();
   return std::move(session_->result);
 }
 
@@ -87,22 +73,6 @@ void TMesh::SetMetrics(MetricsRegistry* metrics) {
 
 void TMesh::FlushMetrics() {
   if (registry_ == nullptr) return;
-  // Fold the lanes' deferred counts (all zero on sequential transports,
-  // where the hot path incremented the handles directly). Lane order does
-  // not matter: counter addition commutes, so the folded registry is
-  // identical at every worker count.
-  for (Lane& lane : lanes_) {
-    if (metrics_.messages_sent != nullptr) {
-      metrics_.messages_sent->Add(lane.messages_sent);
-      metrics_.forwards->Add(lane.forwards);
-      metrics_.deliveries->Add(lane.deliveries);
-      metrics_.encs_sent->Add(lane.encs_sent);
-      metrics_.split_messages->Add(lane.split_messages);
-      metrics_.uplink_bytes->Add(lane.uplink_bytes);
-    }
-    lane.messages_sent = lane.forwards = lane.deliveries = lane.encs_sent =
-        lane.split_messages = lane.uplink_bytes = 0;
-  }
   Histogram* per_host = registry_->GetHistogram("tmesh.uplink_bytes_per_host");
   for (double& bytes : metric_uplink_bytes_) {
     if (bytes > 0.0) per_host->Observe(bytes);
@@ -111,24 +81,25 @@ void TMesh::FlushMetrics() {
 }
 
 void TMesh::CandidatesOf(const NeighborTable::Entry& entry, int row,
-                         bool cluster_mode, Lane& lane) {
-  std::vector<UserId>& out = lane.cand;
+                         bool cluster_mode) {
+  std::vector<UserId>& out = scratch_.cand;
   out.clear();
   if (cluster_mode && row == dir_.params().digits - 2) {
     // Footnote 8: at the (D-2)th row prefer the earliest joiner so that
     // cluster leaders receive rekey messages at forwarding level D-1.
-    lane.live.clear();
+    std::vector<const NeighborRecord*>& live = scratch_.live;
+    live.clear();
     for (const NeighborRecord& rec : entry) {
-      if (dir_.IsAlive(rec.id)) lane.live.push_back(&rec);
+      if (dir_.IsAlive(rec.id)) live.push_back(&rec);
     }
-    std::sort(lane.live.begin(), lane.live.end(),
+    std::sort(live.begin(), live.end(),
               [](const NeighborRecord* a, const NeighborRecord* b) {
                 if (a->join_time != b->join_time) {
                   return a->join_time < b->join_time;
                 }
                 return a->rtt_ms < b->rtt_ms;
               });
-    for (const NeighborRecord* rec : lane.live) out.push_back(rec->id);
+    for (const NeighborRecord* rec : live) out.push_back(rec->id);
     return;
   }
   for (const NeighborRecord& rec : entry) {  // entries are RTT-sorted
@@ -164,20 +135,13 @@ void TMesh::SplitFor(const Session& s, const EncList& encs,
 }
 
 TMesh::EncSnapshot TMesh::SplitSnapshot(Session& s, const EncSnapshot& parent,
-                                        const DigitString& prefix,
-                                        Lane& lane) {
-  SplitFor(s, *parent, prefix, lane.split);
+                                        const DigitString& prefix) {
+  SplitFor(s, *parent, prefix, scratch_.split);
   // The filter keeps a subsequence, so equal size means identical contents:
   // share the parent snapshot instead of allocating a copy.
-  if (lane.split.size() == parent->size()) return parent;
-  if (metrics_.split_messages != nullptr) {
-    if (parallel_) {
-      ++lane.split_messages;
-    } else {
-      metrics_.split_messages->Increment();
-    }
-  }
-  return std::make_shared<const EncList>(lane.split);
+  if (scratch_.split.size() == parent->size()) return parent;
+  if (metrics_.split_messages != nullptr) metrics_.split_messages->Increment();
+  return std::make_shared<const EncList>(scratch_.split);
 }
 
 double TMesh::PacketBytes(const Session& s, const Packet& pkt) const {
@@ -192,17 +156,10 @@ double TMesh::PacketBytes(const Session& s, const Packet& pkt) const {
   return bytes;
 }
 
-std::pair<SimTime, SimTime> TMesh::OccupyUplink(HostId from, double bytes,
-                                                Lane& lane) {
+std::pair<SimTime, SimTime> TMesh::OccupyUplink(HostId from, double bytes) {
   if (metrics_.uplink_bytes != nullptr) {
-    // PacketBytes sums integers, so the cast is exact. The per-host byte
-    // array is lane-safe as-is: `from` is the executing event's affine
-    // host, and one lane owns all of a partition's hosts.
-    if (parallel_) {
-      lane.uplink_bytes += static_cast<std::int64_t>(bytes);
-    } else {
-      metrics_.uplink_bytes->Add(static_cast<std::int64_t>(bytes));
-    }
+    // PacketBytes sums integers, so the cast is exact.
+    metrics_.uplink_bytes->Add(static_cast<std::int64_t>(bytes));
     metric_uplink_bytes_[static_cast<std::size_t>(from)] += bytes;
   }
   if (uplink_.kbps <= 0.0) return {transport_.Now(), 0};
@@ -214,8 +171,7 @@ std::pair<SimTime, SimTime> TMesh::OccupyUplink(HostId from, double bytes,
 }
 
 void TMesh::SendFirst(Session& s, const UserId* from, HostId from_host,
-                      const std::vector<UserId>& candidates, Packet pkt,
-                      Lane& lane) {
+                      const std::vector<UserId>& candidates, Packet pkt) {
   // The caller just filtered `candidates` to live members; this first
   // attempt borrows the scratch buffer and only copies it on the (rare)
   // loss path, keeping the no-loss forwarding hot path allocation-free.
@@ -223,13 +179,13 @@ void TMesh::SendFirst(Session& s, const UserId* from, HostId from_host,
   const UserId to = candidates.front();
 
   bool lost = s.opts.loss_prob > 0.0 && s.loss_rng.Bernoulli(s.opts.loss_prob);
-  auto [depart, tx] = OccupyUplink(from_host, PacketBytes(s, pkt), lane);
-  Transmit(s, from, from_host, to, pkt, lost, depart, tx, lane);
+  auto [depart, tx] = OccupyUplink(from_host, PacketBytes(s, pkt));
+  Transmit(s, from, from_host, to, pkt, lost, depart, tx);
 
   if (lost) {
     // §2.3: after detecting the loss (an RTT-scaled timeout), forward to
-    // another neighbor in the same table entry. The retry timer is affine
-    // to the sender's host — it re-occupies that host's uplink.
+    // another neighbor in the same table entry. The retry timer is tagged
+    // with the sender's host — it re-occupies that host's uplink.
     double rtt = dir_.network().RttHosts(from_host, dir_.HostOf(to));
     SimTime timeout =
         depart + tx + FromMillis(std::max(1.0, rtt * s.opts.retry_rtt_factor));
@@ -250,11 +206,6 @@ void TMesh::SendFirst(Session& s, const UserId* from, HostId from_host,
 void TMesh::RetrySend(Session& s, const UserId* from, HostId from_host,
                       std::vector<UserId> candidates, Packet pkt,
                       int attempt) {
-  // Event entry point (fired from a scheduled retry timer). Only reachable
-  // when the loss model is on, which MakeSession forbids on multi-lane
-  // transports — so the direct result/metric increments below stay
-  // single-threaded.
-  Lane& lane = LaneRef();
   // Drop candidates that died since the last attempt.
   while (!candidates.empty()) {
     std::size_t i = static_cast<std::size_t>(attempt) % candidates.size();
@@ -273,8 +224,8 @@ void TMesh::RetrySend(Session& s, const UserId* from, HostId from_host,
       candidates[static_cast<std::size_t>(attempt) % candidates.size()];
 
   bool lost = s.opts.loss_prob > 0.0 && s.loss_rng.Bernoulli(s.opts.loss_prob);
-  auto [depart, tx] = OccupyUplink(from_host, PacketBytes(s, pkt), lane);
-  Transmit(s, from, from_host, to, pkt, lost, depart, tx, lane);
+  auto [depart, tx] = OccupyUplink(from_host, PacketBytes(s, pkt));
+  Transmit(s, from, from_host, to, pkt, lost, depart, tx);
 
   if (lost) {
     double rtt = dir_.network().RttHosts(from_host, dir_.HostOf(to));
@@ -296,27 +247,17 @@ void TMesh::RetrySend(Session& s, const UserId* from, HostId from_host,
 
 void TMesh::Transmit(Session& s, const UserId* from, HostId from_host,
                      const UserId& to, const Packet& pkt, bool lost,
-                     SimTime depart, SimTime tx_time, Lane& lane) {
+                     SimTime depart, SimTime tx_time) {
   const std::size_t encs = EncCount(pkt);
   HostId to_host = dir_.HostOf(to);
 
-  if (parallel_) {
-    ++s.lane_messages_sent[lane.index];
-  } else {
-    ++s.result.messages_sent;
-  }
-  if (lost) ++s.result.messages_lost;  // loss model is sequential-only
+  ++s.result.messages_sent;
+  if (lost) ++s.result.messages_lost;
   if (metrics_.messages_sent != nullptr) {
-    if (parallel_) {
-      ++lane.messages_sent;
-      if (from != nullptr) ++lane.forwards;
-      lane.encs_sent += static_cast<std::int64_t>(encs);
-    } else {
-      metrics_.messages_sent->Increment();
-      if (lost) metrics_.messages_lost->Increment();
-      if (from != nullptr) metrics_.forwards->Increment();
-      metrics_.encs_sent->Add(static_cast<std::int64_t>(encs));
-    }
+    metrics_.messages_sent->Increment();
+    if (lost) metrics_.messages_lost->Increment();
+    if (from != nullptr) metrics_.forwards->Increment();
+    metrics_.encs_sent->Add(static_cast<std::int64_t>(encs));
   }
   if (from != nullptr) {
     MemberDeliveryRecord& rec =
@@ -325,9 +266,9 @@ void TMesh::Transmit(Session& s, const UserId* from, HostId from_host,
     rec.encs_forwarded += static_cast<std::int64_t>(encs);
   }
   if (s.opts.track_links && dir_.network().HasRouterPaths()) {
-    lane.path.clear();
-    dir_.network().AppendPathLinks(from_host, to_host, lane.path);
-    for (LinkId l : lane.path) {
+    scratch_.path.clear();
+    dir_.network().AppendPathLinks(from_host, to_host, scratch_.path);
+    for (LinkId l : scratch_.path) {
       s.result.links.encryptions[static_cast<std::size_t>(l)] +=
           static_cast<std::int64_t>(encs);
       ++s.result.links.messages[static_cast<std::size_t>(l)];
@@ -351,10 +292,7 @@ void TMesh::Transmit(Session& s, const UserId* from, HostId from_host,
   }
   Session* sp = &s;
   // Delivery runs at the receiver's host: the event reads and writes that
-  // host's member record and forwards from that host's uplink. When
-  // to_host != from_host the arrival is at least one cross-host one-way
-  // delay away, i.e. >= the topology's MinCrossHostDelayMs — exactly the
-  // parallel driver's lookahead condition.
+  // host's member record and forwards from that host's uplink.
   transport_.ScheduleAtHost(to_host, arrive, [this, sp, to, pkt, from_host]() {
     Deliver(*sp, to, pkt, from_host);
   });
@@ -362,16 +300,9 @@ void TMesh::Transmit(Session& s, const UserId* from, HostId from_host,
 
 void TMesh::Deliver(Session& s, const UserId& user, const Packet& pkt,
                     HostId from_host) {
-  Lane& lane = LaneRef();  // event entry point
   if (!dir_.Contains(user) || !dir_.IsAlive(user)) return;  // raced a leave
   HostId host = dir_.HostOf(user);
-  if (metrics_.deliveries != nullptr) {
-    if (parallel_) {
-      ++lane.deliveries;
-    } else {
-      metrics_.deliveries->Increment();
-    }
-  }
+  if (metrics_.deliveries != nullptr) metrics_.deliveries->Increment();
   if (tracer_ != nullptr) {
     tracer_->Record("deliver", s.trace_id, static_cast<std::int64_t>(host),
                     ToMillis(transport_.Now()), 0.0);
@@ -396,14 +327,13 @@ void TMesh::Deliver(Session& s, const UserId& user, const Packet& pkt,
 
   if (pkt.group_key_unicast) return;  // terminal hop; nothing to forward
 
-  Forward(s, user, pkt, lane);
+  Forward(s, user, pkt);
   if (s.opts.clusters != nullptr && pkt.is_rekey && first) {
-    ClusterDuty(s, user, pkt, lane);
+    ClusterDuty(s, user, pkt);
   }
 }
 
-void TMesh::Forward(Session& s, const UserId& user, const Packet& pkt,
-                    Lane& lane) {
+void TMesh::Forward(Session& s, const UserId& user, const Packet& pkt) {
   const int d = dir_.params().digits;
   const bool cluster_mode = s.opts.clusters != nullptr && pkt.is_rekey;
   // Appendix B: "the message multicast process is as usual when forwarding
@@ -417,23 +347,21 @@ void TMesh::Forward(Session& s, const UserId& user, const Packet& pkt,
   for (int i = pkt.forward_level; i <= max_row; ++i) {
     for (const auto& [digit, entry] : table.row(i)) {
       (void)digit;
-      CandidatesOf(entry, i, cluster_mode, lane);
-      if (lane.cand.empty()) continue;  // all entry records failed
+      CandidatesOf(entry, i, cluster_mode);
+      if (scratch_.cand.empty()) continue;  // all entry records failed
       Packet child = pkt;  // shares the parent payload snapshot
       child.forward_level = i + 1;
       if (pkt.is_rekey && s.opts.split && pkt.encs != nullptr) {
         // All candidates of an (i,j)-entry share the owner's first i digits
         // plus digit j, so Fig. 5's filter is identical for every backup.
-        child.encs =
-            SplitSnapshot(s, pkt.encs, lane.cand[0].Prefix(i + 1), lane);
+        child.encs = SplitSnapshot(s, pkt.encs, scratch_.cand[0].Prefix(i + 1));
       }
-      SendFirst(s, &user, host, lane.cand, std::move(child), lane);
+      SendFirst(s, &user, host, scratch_.cand, std::move(child));
     }
   }
 }
 
-void TMesh::ClusterDuty(Session& s, const UserId& user, const Packet& pkt,
-                        Lane& lane) {
+void TMesh::ClusterDuty(Session& s, const UserId& user, const Packet& pkt) {
   const ClusterRekeying& clusters = *s.opts.clusters;
   HostId host = dir_.HostOf(user);
   if (clusters.IsLeader(user)) {
@@ -445,8 +373,8 @@ void TMesh::ClusterDuty(Session& s, const UserId& user, const Packet& pkt,
     gk.is_rekey = true;
     for (const UserId& peer : clusters.PeersOf(user)) {
       if (!dir_.IsAlive(peer)) continue;
-      lane.cand.assign(1, peer);
-      SendFirst(s, &user, host, lane.cand, gk, lane);
+      scratch_.cand.assign(1, peer);
+      SendFirst(s, &user, host, scratch_.cand, gk);
     }
   } else if (!pkt.leader_relay) {
     // The single in-cluster receiver of the multicast copy relays the full
@@ -456,33 +384,15 @@ void TMesh::ClusterDuty(Session& s, const UserId& user, const Packet& pkt,
       Packet relay = pkt;
       relay.forward_level = dir_.params().digits;  // no further FORWARD rows
       relay.leader_relay = true;
-      lane.cand.assign(1, leader);
-      SendFirst(s, &user, host, lane.cand, std::move(relay), lane);
+      scratch_.cand.assign(1, leader);
+      SendFirst(s, &user, host, scratch_.cand, std::move(relay));
     }
   }
 }
 
 TMesh::Handle TMesh::MakeSession(const Options& opts, HostId source_host,
                                  bool is_rekey, const RekeyMessage* msg) {
-  if (parallel_) {
-    // Features whose outcome depends on global event execution order (a
-    // shared RNG stream, a global trace log, global per-link tallies)
-    // cannot be partitioned without breaking the byte-identity contract.
-    // fig08/fig11-style runs use none of them.
-    TMESH_CHECK_MSG(opts.loss_prob == 0.0,
-                    "the loss model draws from one sequential RNG stream; "
-                    "run lossy sessions on a sequential transport");
-    TMESH_CHECK_MSG(!opts.track_links,
-                    "per-link tallies are not lane-partitioned; run "
-                    "track_links sessions on a sequential transport");
-    TMESH_CHECK_MSG(tracer_ == nullptr,
-                    "the message tracer records in execution order; detach "
-                    "it before multicasting over a parallel transport");
-  }
   auto session = std::make_unique<Session>();
-  if (parallel_) {
-    session->lane_messages_sent.assign(lanes_.size(), 0);
-  }
   session->msg = msg;
   session->opts = opts;
   session->source_host = source_host;
@@ -543,19 +453,17 @@ TMesh::Handle TMesh::BeginRekey(const RekeyMessage& msg, const Options& opts) {
   // (0,j)-entry of its one-row table (Fig. 2 lines 3-5), each split for its
   // next hop (Fig. 5 with s = 0).
   const NeighborTable& st = dir_.ServerTable();
-  Lane& lane = LaneRef();  // the calling thread's lane (lane 0 outside Run)
   for (const auto& [digit, entry] : st.row(0)) {
     (void)digit;
-    CandidatesOf(entry, 0, /*cluster_mode=*/false, lane);
-    if (lane.cand.empty()) continue;
+    CandidatesOf(entry, 0, /*cluster_mode=*/false);
+    if (scratch_.cand.empty()) continue;
     Packet pkt;
     pkt.forward_level = 1;
     pkt.is_rekey = true;
     pkt.encs = opts.split
-                   ? SplitSnapshot(s, all_snap, lane.cand[0].Prefix(1), lane)
+                   ? SplitSnapshot(s, all_snap, scratch_.cand[0].Prefix(1))
                    : all_snap;
-    SendFirst(s, nullptr, dir_.server_host(), lane.cand, std::move(pkt),
-              lane);
+    SendFirst(s, nullptr, dir_.server_host(), scratch_.cand, std::move(pkt));
   }
   return handle;
 }
@@ -569,7 +477,7 @@ TMesh::Handle TMesh::BeginData(const UserId& sender, const Options& opts) {
   // 6-9): rows 0..D-1.
   Packet pkt;
   pkt.forward_level = 0;
-  Forward(*handle.session_, sender, pkt, LaneRef());
+  Forward(*handle.session_, sender, pkt);
   return handle;
 }
 

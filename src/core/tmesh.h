@@ -138,18 +138,13 @@ class TMesh {
   // The protocol speaks only to the Transport seam (DESIGN.md §3h): a
   // clock for uplink/delivery arithmetic and one-shot timers for scheduled
   // transmissions. Any Transport works; over a SimTransport the event
-  // history is byte-identical to the pre-seam simulator binding. Every
-  // scheduled event is host-affinity-tagged (deliveries at the receiver,
-  // retry timers at the sender), so a PsimTransport over the conservative
-  // parallel driver (DESIGN.md §3i) partitions the run across workers with
-  // the same byte-identical history; per-lane scratch and deferred metric
-  // counts (sized by ExecLanes()) keep worker threads from sharing state.
+  // history is byte-identical to the pre-seam simulator binding. Every hop
+  // is scheduled with ScheduleAtHost (deliveries at the receiver, retry
+  // timers at the sender), which orders exactly like ScheduleAt.
   TMesh(const GroupView& dir, Transport& transport)
       : dir_(dir),
         transport_(transport),
-        drain_sim_(SimulatorOf(transport)) {
-    InitLanes();
-  }
+        drain_sim_(SimulatorOf(transport)) {}
   // Convenience for simulator studies: owns a timer-plane SimTransport over
   // `sim`, so the ~45 existing call sites (tests, benches, examples) keep
   // their shape and the MulticastRekey/MulticastData drivers can drain.
@@ -158,9 +153,7 @@ class TMesh {
         owned_transport_(
             std::make_unique<SimTransport>(sim, dir.server_host())),
         transport_(*owned_transport_),
-        drain_sim_(&sim) {
-    InitLanes();
-  }
+        drain_sim_(&sim) {}
 
   void SetUplinkModel(const UplinkModel& model);
 
@@ -172,10 +165,7 @@ class TMesh {
   void SetMetrics(MetricsRegistry* metrics);
   // Observes the per-uplink byte totals accumulated since attach (or the
   // last flush) into the "tmesh.uplink_bytes_per_host" histogram and resets
-  // them, and — on a multi-lane transport — folds the per-lane deferred
-  // counter increments into the registry handles (sums are order-
-  // independent, so the fold is thread-count-invariant). Call once per run,
-  // after the simulator or driver drains.
+  // them. Call once per run, after the simulator drains.
   void FlushMetrics();
 
   // Attaches a message tracer (null detaches): every session records a
@@ -233,47 +223,23 @@ class TMesh {
 
   using Session = Handle::Session;
 
-  // Per-execution-lane state: the forwarding-path scratch buffers plus the
-  // deferred metric counts a worker lane accumulates instead of touching
-  // the (single-threaded) registry handles. Sequential transports have one
-  // lane, so lanes_[0] behaves exactly like the old member scratch. Event
-  // entry points (Deliver, RetrySend, Begin*) fetch the lane once via
-  // transport_.ExecLane() and pass it down the synchronous call chain.
-  struct Lane {
-    std::size_t index = 0;
-    std::vector<UserId> cand;
-    std::vector<const NeighborRecord*> live;
-    EncList split;
-    std::vector<LinkId> path;
-    // Deferred "tmesh." counter increments (multi-lane transports only;
-    // folded into the handles by FlushMetrics).
-    std::int64_t messages_sent = 0;
-    std::int64_t forwards = 0;
-    std::int64_t deliveries = 0;
-    std::int64_t encs_sent = 0;
-    std::int64_t split_messages = 0;
-    std::int64_t uplink_bytes = 0;
-  };
-
-  // Transmits `pkt` to the first candidate (`lane.cand` is a scratch
-  // buffer the caller may reuse immediately after the call returns); on
-  // simulated loss, copies the candidates and schedules RetrySend.
+  // Transmits `pkt` to the first candidate (`candidates` may be the
+  // scratch_.cand buffer, which the caller may reuse immediately after the
+  // call returns); on simulated loss, copies the candidates and schedules
+  // RetrySend.
   void SendFirst(Session& s, const UserId* from, HostId from_host,
-                 const std::vector<UserId>& candidates, Packet pkt,
-                 Lane& lane);
+                 const std::vector<UserId>& candidates, Packet pkt);
   // Loss-recovery path (§2.3): transmits to the attempt-th live candidate;
   // owns its candidate list across retries.
   void RetrySend(Session& s, const UserId* from, HostId from_host,
                  std::vector<UserId> candidates, Packet pkt, int attempt);
   void Transmit(Session& s, const UserId* from, HostId from_host,
                 const UserId& to, const Packet& pkt, bool lost,
-                SimTime depart, SimTime tx_time, Lane& lane);
+                SimTime depart, SimTime tx_time);
   void Deliver(Session& s, const UserId& user, const Packet& pkt,
                HostId from_host);
-  void Forward(Session& s, const UserId& user, const Packet& pkt,
-               Lane& lane);
-  void ClusterDuty(Session& s, const UserId& user, const Packet& pkt,
-                   Lane& lane);
+  void Forward(Session& s, const UserId& user, const Packet& pkt);
+  void ClusterDuty(Session& s, const UserId& user, const Packet& pkt);
 
   // Fig. 5's per-next-hop filter: encryptions needed within w's level-(s+1)
   // subtree, where `w_prefix` = w.ID[0:s]. Writes the surviving indices
@@ -283,14 +249,14 @@ class TMesh {
 
   // Live candidates of an entry, preference-ordered: RTT order, except in
   // cluster mode at row D-2 where the earliest joiner leads (footnote 8).
-  // Writes into `lane.cand` (cleared first), using `lane.live` as scratch.
+  // Writes into `scratch_.cand` (cleared first).
   void CandidatesOf(const NeighborTable::Entry& entry, int row,
-                    bool cluster_mode, Lane& lane);
+                    bool cluster_mode);
 
   // Splits the parent payload for the entry whose candidates share
   // `prefix`, sharing the parent snapshot when the filter keeps everything.
   EncSnapshot SplitSnapshot(Session& s, const EncSnapshot& parent,
-                            const DigitString& prefix, Lane& lane);
+                            const DigitString& prefix);
 
   std::size_t EncCount(const Packet& pkt) const {
     if (pkt.group_key_unicast) return 1;
@@ -300,18 +266,10 @@ class TMesh {
   // from the session's per-encryption table).
   double PacketBytes(const Session& s, const Packet& pkt) const;
   // Occupies the sender's uplink; returns {depart, tx_time}.
-  std::pair<SimTime, SimTime> OccupyUplink(HostId from, double bytes,
-                                           Lane& lane);
+  std::pair<SimTime, SimTime> OccupyUplink(HostId from, double bytes);
 
   Handle MakeSession(const Options& opts, HostId source_host, bool is_rekey,
                      const RekeyMessage* msg);
-
-  void InitLanes() {
-    lanes_.resize(transport_.ExecLanes());
-    for (std::size_t i = 0; i < lanes_.size(); ++i) lanes_[i].index = i;
-    parallel_ = lanes_.size() > 1;
-  }
-  Lane& LaneRef() { return lanes_[transport_.ExecLane()]; }
 
   // Recovers the simulator behind a SimTransport so the convenience
   // MulticastRekey/MulticastData drivers (begin + drain + return) still
@@ -350,16 +308,18 @@ class TMesh {
   MessageTracer* tracer_ = nullptr;
   std::int64_t next_trace_id_ = 0;
 
-  // One Lane per transport execution lane (1 on sequential transports, one
-  // per worker on the parallel driver). The scratch buffers are reused
-  // across hops so the no-loss message path performs no heap allocation
-  // (beyond at most one payload snapshot per hop when splitting actually
-  // shrinks the message). Safe because Forward/SendFirst complete
-  // synchronously within one event — nothing holds a scratch reference
-  // across scheduled events — and a lane is only ever touched by the one
-  // thread executing that lane's events.
-  std::vector<Lane> lanes_;
-  bool parallel_ = false;  // lanes_.size() > 1
+  // Forwarding-path scratch buffers, reused across hops so the no-loss
+  // message path performs no heap allocation (beyond at most one payload
+  // snapshot per hop when splitting actually shrinks the message). Safe
+  // because Forward/SendFirst complete synchronously within one event —
+  // nothing holds a scratch reference across scheduled events.
+  struct Scratch {
+    std::vector<UserId> cand;
+    std::vector<const NeighborRecord*> live;
+    EncList split;
+    std::vector<LinkId> path;
+  };
+  Scratch scratch_;
 };
 
 }  // namespace tmesh

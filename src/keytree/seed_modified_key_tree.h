@@ -3,12 +3,13 @@
 // This is the pre-flat-layout ModifiedKeyTree kept verbatim (class renamed,
 // moved under src/keytree/ so it depends only on tmesh_common) as the golden
 // oracle for the differential equivalence suite
-// (tests/keytree_differential_test.cc). The production ModifiedKeyTree
-// (core/modified_key_tree.h) replaced the per-node unordered_set children
-// and the set-materializing batch rekey with a flat node pool, digit
-// bitmaps, and a streaming (optionally sharded) rekey; its contract is
-// byte-identical RekeyMessage output and identical KeyVersion/KeysOf state
-// vs THIS implementation on every schedule.
+// (tests/keytree_differential_test.cc), and built only into that test's
+// tmesh_seed_keytree library (tests/CMakeLists.txt). The production
+// ModifiedKeyTree (core/modified_key_tree.h) replaced the per-node
+// unordered_set children and the set-materializing batch rekey with a flat
+// node pool, digit bitmaps, and a streaming (optionally sharded) rekey; its
+// contract is byte-identical RekeyMessage output and identical
+// KeyVersion/KeysOf state vs THIS implementation on every schedule.
 //
 // (Original header comment follows.)
 //

@@ -2,9 +2,10 @@
 //
 // This is the pre-flat-layout WglKeyTree kept verbatim (class renamed) as
 // the golden oracle for the differential equivalence suite
-// (tests/keytree_differential_test.cc). The production WglKeyTree
-// (keytree/wgl_key_tree.h) replaced the per-node child vectors and the
-// O(N) whole-tree scans with a flat, augmented layout; its contract is
+// (tests/keytree_differential_test.cc), and built only into that test's
+// tmesh_seed_keytree library (tests/CMakeLists.txt). The production
+// WglKeyTree (keytree/wgl_key_tree.h) replaced the per-node child vectors
+// and the O(N) whole-tree scans with a flat, augmented layout; its contract is
 // byte-identical RekeyMessage / KeysHeld / PathNodes output to THIS
 // implementation at every population where both can run. Any intentional
 // behavior change to the production tree must come with a matching change

@@ -1,12 +1,9 @@
 #include "protocols/latency_experiment.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/tmesh.h"
-#include "sim/parallel_driver.h"
 #include "sim/sim_metrics.h"
-#include "transport/psim_transport.h"
 
 namespace tmesh {
 
@@ -38,35 +35,13 @@ LatencyRunResult RunLatencyExperiment(const Network& net,
   session.FlushRekeyState();
 
   LatencyRunResult out;
-  Simulator local_sim(cfg.sim_options);
-  // psim path: same protocol object, same session, but the multicast drains
-  // on the conservative parallel driver — an external Simulator, if passed,
-  // stays untouched (it was checked fresh above).
-  std::unique_ptr<ParallelDriver> driver;
-  std::unique_ptr<PsimTransport> psim_transport;
-  std::unique_ptr<TMesh> tmesh_box;
-  if (cfg.psim_workers > 0) {
-    const double min_ms = net.MinCrossHostDelayMs();
-    TMESH_CHECK_MSG(min_ms > 0.0,
-                    "this topology reports no cross-host delay bound; "
-                    "parallel driving needs a positive lookahead");
-    ParallelDriver::Options dopts;
-    dopts.workers = cfg.psim_workers;
-    dopts.hosts = net.host_count();
-    dopts.lookahead = FromMillis(min_ms);
-    driver = std::make_unique<ParallelDriver>(dopts);
-    psim_transport = std::make_unique<PsimTransport>(*driver, server);
-    tmesh_box = std::make_unique<TMesh>(session.directory(), *psim_transport);
-  } else {
-    tmesh_box = std::make_unique<TMesh>(session.directory(),
-                                        sim != nullptr ? *sim : local_sim);
-  }
-  TMesh& tmesh = *tmesh_box;
+  Simulator local_sim;
+  Simulator& session_sim = sim != nullptr ? *sim : local_sim;
+  TMesh tmesh(session.directory(), session_sim);
   tmesh.SetMetrics(cfg.metrics);
   tmesh.SetTracer(cfg.tracer);
 
   HostId sender_host = server;
-  Simulator& session_sim = sim != nullptr ? *sim : local_sim;
   // The message must outlive the handle (rekey sessions reference it).
   const RekeyMessage rekey_msg;
   TMesh::Handle handle = [&] {
@@ -81,29 +56,11 @@ LatencyRunResult RunLatencyExperiment(const Network& net,
     // change paths or timing, so an empty message suffices for latency.
     return tmesh.BeginRekey(rekey_msg, TMesh::Options{});
   }();
-  if (driver != nullptr) {
-    driver->Run();
-    if (cfg.on_slice) cfg.on_slice();
-  } else if (cfg.step_events == 0 && !cfg.on_slice) {
-    session_sim.Run();
-  } else {
-    // Chunked drive: identical event order (one RunOne path underneath),
-    // with room between slices for the caller's poll.
-    const EventBudget chunk = EventBudget::Events(
-        cfg.step_events > 0 ? cfg.step_events : std::size_t{1024});
-    while (session_sim.RunFor(chunk).exhausted_reason == Exhausted::kEvents) {
-      if (cfg.on_slice) cfg.on_slice();
-    }
-    if (cfg.on_slice) cfg.on_slice();
-  }
+  session_sim.Run();
   TMesh::Result tresult = handle.TakeResult();
   if (cfg.metrics != nullptr) {
     tmesh.FlushMetrics();
-    if (driver != nullptr) {
-      ExportPsimMetrics(*driver, *cfg.metrics);
-    } else {
-      ExportSimMetrics(session_sim, *cfg.metrics);
-    }
+    ExportSimMetrics(session_sim, *cfg.metrics);
   }
 
   for (HostId h = 1; h <= cfg.users; ++h) {

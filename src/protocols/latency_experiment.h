@@ -11,8 +11,7 @@
 // from the sender.
 #pragma once
 
-#include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "metrics/registry.h"
@@ -34,16 +33,6 @@ struct LatencyRunConfig {
   double join_window_s = 452.0;
   bool data_path = false;  // false: rekey path from the key server
   SessionConfig session;
-  // When > 0, the session's simulator drain is sliced into RunFor chunks of
-  // this many events (0: one monolithic Run()). Results are bit-identical
-  // either way; `on_slice`, if set, runs between chunks — the figure
-  // harness installs a ReplicaRunner cancellation poll there.
-  std::size_t step_events = 0;
-  // Construction options for the internally-built Simulator (ignored when
-  // the caller passes an external one). Geometry only: results are
-  // byte-identical for every value.
-  Simulator::Options sim_options;
-  std::function<void()> on_slice;
   // When non-null, the run's TMesh counters ("tmesh.") and simulator
   // counters ("sim.") are recorded here. Pure observation: the printed
   // results are byte-identical with or without a registry attached.
@@ -51,15 +40,6 @@ struct LatencyRunConfig {
   // When non-null, the run's multicast session records birth/forward/
   // delivery spans here (metrics/trace.h).
   MessageTracer* tracer = nullptr;
-  // When > 0, the multicast session runs on the conservative parallel
-  // driver (sim/parallel_driver.h) with this many workers instead of the
-  // sequential simulator: hosts are partitioned, the lookahead comes from
-  // net.MinCrossHostDelayMs() (which must be positive), and the printed
-  // series, TMesh counters, and "sim." event counts are byte-identical to
-  // psim_workers == 0 at every worker count. Requires tracer == nullptr
-  // (checked); step_events is ignored (the driver drains monolithically,
-  // with one on_slice call after the drain).
-  int psim_workers = 0;
 };
 
 struct LatencyRunResult {

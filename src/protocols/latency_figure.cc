@@ -34,7 +34,7 @@ void PrintLatencyFigure(std::ostream& os, const LatencyFigureConfig& cfg) {
     MetricsRegistry reg;
   };
 
-  ReplicaRunner runner(cfg.threads, cfg.sim_options);
+  ReplicaRunner runner(cfg.threads);
   runner.Run(
       cfg.runs,
       [&](ReplicaRunner::Replica& rep) {
@@ -47,19 +47,9 @@ void PrintLatencyFigure(std::ostream& os, const LatencyFigureConfig& cfg) {
         rcfg.join_window_s =
             cfg.topo == FigureTopology::kPlanetLab ? 452.0 : 2048.0;
         rcfg.session = cfg.session;
-        rcfg.step_events = cfg.step_events;
-        rcfg.sim_options = cfg.sim_options;
-        rcfg.psim_workers = cfg.psim_workers;
-        if (cfg.step_events > 0) {
-          rcfg.on_slice = [&rep]() { rep.CheckCancelled(); };
-        }
         ReplicaOut out;
         if (cfg.metrics != nullptr) rcfg.metrics = &out.reg;
-        // The tracer records in global execution order, which the parallel
-        // driver cannot reproduce live — drop it rather than crash the run.
-        if (cfg.tracer != nullptr && rep.index == 0 && cfg.psim_workers == 0) {
-          rcfg.tracer = cfg.tracer;
-        }
+        if (rep.index == 0) rcfg.tracer = cfg.tracer;
         out.res = RunLatencyExperiment(*net, rcfg, run_seed * 7 + 13,
                                        &rep.sim);
         if (cfg.progress) {

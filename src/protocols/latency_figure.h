@@ -42,13 +42,6 @@ struct LatencyFigureConfig {
   // Per-replica progress notes on stderr ("run i/N done"); their ordering
   // across replicas is the only thread-count-dependent output.
   bool progress = false;
-  // RunFor slice size for each replica's simulator drain (0: monolithic).
-  // Bit-identical output either way; slicing also lets a pooled replica
-  // notice another replica's failure between chunks and stop early.
-  std::size_t step_events = 0;
-  // Worker-simulator construction options (discipline, calendar tuning);
-  // stdout is byte-identical for every value.
-  Simulator::Options sim_options;
   // When non-null, every replica's "tmesh."/"sim." counters are recorded
   // into a replica-local registry and merged here in run-index order — the
   // same contract that makes the tables thread-count-independent, so the
@@ -57,15 +50,8 @@ struct LatencyFigureConfig {
   MetricsRegistry* metrics = nullptr;
   // When non-null, replica 0's multicast session is traced here (only
   // replica 0, so the trace is deterministic across thread counts and the
-  // tracer needs no synchronization). Ignored when psim_workers > 0 (the
-  // parallel driver forbids execution-order-dependent observers).
+  // tracer needs no synchronization).
   MessageTracer* tracer = nullptr;
-  // When > 0, every replica's multicast drains on the conservative parallel
-  // driver with this many workers (LatencyRunConfig::psim_workers). All
-  // printed tables and merged metrics are byte-identical to the sequential
-  // drain at every value — this knob buys wall-clock speed on multi-core
-  // hardware, never different numbers.
-  int psim_workers = 0;
 };
 
 // Runs the figure and prints it to `os`.

@@ -36,7 +36,7 @@ std::vector<RekeyCostCell> RunRekeyCostExperiment(const RekeyCostConfig& cfg) {
   run_rngs.reserve(static_cast<std::size_t>(cfg.runs));
   for (int run = 0; run < cfg.runs; ++run) run_rngs.push_back(master.Fork());
 
-  ReplicaRunner runner(cfg.threads, cfg.sim_options);
+  ReplicaRunner runner(cfg.threads);
   runner.Run(
       cfg.runs,
       [&](ReplicaRunner::Replica& rep) {

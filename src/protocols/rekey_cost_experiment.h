@@ -33,9 +33,6 @@ struct RekeyCostConfig {
   int threads = 1;
   SessionConfig session;
   GtItmParams topology;
-  // Worker-simulator construction options; cell values are identical for
-  // every value.
-  Simulator::Options sim_options;
   // When non-null, per-run per-cell rekey costs are recorded into
   // "rekeycost.{modified,original,cluster}" histograms via replica-local
   // registries merged in run order (identical for every thread count).

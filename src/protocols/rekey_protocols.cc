@@ -153,7 +153,7 @@ std::vector<BandwidthReport> RekeyBandwidthExperiment::Run() {
     rep.protocol = name;
     rep.rekey_cost = msg.RekeyCost();
     note_cost(rep.rekey_cost);
-    Simulator sim(cfg_.sim_options);
+    Simulator sim;
     TMesh tmesh(dir, sim);
     tmesh.SetMetrics(cfg_.metrics);
     TMesh::Options opts;
@@ -161,7 +161,7 @@ std::vector<BandwidthReport> RekeyBandwidthExperiment::Run() {
     opts.clusters = cluster ? &session.clusters() : nullptr;
     opts.track_links = true;
     TMesh::Handle handle = tmesh.BeginRekey(msg, opts);
-    DrainSliced(sim, cfg_.step_events);
+    sim.Run();
     TMesh::Result res = handle.TakeResult();
     if (cfg_.metrics != nullptr) {
       tmesh.FlushMetrics();

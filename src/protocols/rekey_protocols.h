@@ -44,12 +44,6 @@ struct BandwidthConfig {
   int wgl_degree = 4;
   SessionConfig session;
   GtItmParams topology;
-  // RunFor slice size for the per-protocol simulator drains (0: one
-  // monolithic Run() each). Bit-identical reports either way.
-  std::size_t step_events = 0;
-  // Per-protocol simulator construction options; bit-identical reports for
-  // every value (queue geometry cannot reorder events).
-  Simulator::Options sim_options;
   // When non-null, the T-mesh protocols' "tmesh."/"sim." counters
   // accumulate here (the experiment is sequential, so one shared registry
   // is race-free) and every protocol's rekey cost lands in the

@@ -207,16 +207,12 @@ class CalendarQueue {
   CalendarQueue& operator=(const CalendarQueue&) = delete;
 
   // One-time construction tuning, applied by the Simulator before any Push:
-  // `width_hint` overrides the initial (and Clear()-restored) day width in
-  // microseconds (0 keeps the default), `adaptive` enables the per-epoch
-  // width re-estimation described in the file header. Neither setting can
-  // affect the (when, seq) pop order — only the geometry behind it.
-  void Configure(SimTime width_hint, bool adaptive) {
+  // `adaptive` enables the per-epoch width re-estimation described in the
+  // file header. It cannot affect the (when, seq) pop order — only the
+  // geometry behind it.
+  void Configure(bool adaptive) {
     TMESH_CHECK_MSG(count_ == 0, "Configure on a non-empty queue");
-    if (width_hint > 0) base_width_ = width_hint;
     adaptive_ = adaptive;
-    width_ = base_width_;
-    SetDayFor(0);
   }
 
   bool Empty() const { return count_ == 0; }
@@ -330,7 +326,7 @@ class CalendarQueue {
     buckets_.assign(kMinBuckets, nullptr);
     tails_.assign(kMinBuckets, nullptr);
     overflow_.Clear();
-    width_ = base_width_;
+    width_ = kBaseWidth;
     count_ = 0;
     calendar_count_ = 0;
     direct_searches_ = 0;
@@ -358,6 +354,7 @@ class CalendarQueue {
 
  private:
   static constexpr std::size_t kMinBuckets = 32;
+  static constexpr SimTime kBaseWidth = 64;  // initial/Clear() day width
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
   static constexpr int kDirectSearchLimit = 8;
   // Adaptive-mode tuning. Gap samples live in a log2 histogram that is
@@ -614,7 +611,7 @@ class CalendarQueue {
   std::vector<EventNode*> buckets_;  // heads of (when, seq)-sorted lists
   std::vector<EventNode*> tails_;    // last node per bucket (FIFO appends)
   NodeHeap overflow_;                // events at/beyond horizon_
-  SimTime width_ = 64;               // microseconds per day; retuned
+  SimTime width_ = kBaseWidth;       // microseconds per day; retuned
   SimTime day_start_ = 0;            // lower bound of the cursor's day
   SimTime horizon_ = 0;              // day_start_ + width_ * nbuckets
   std::size_t day_ = 0;              // cursor bucket index
@@ -624,7 +621,6 @@ class CalendarQueue {
   std::uint64_t retunes_ = 0;        // Retune() calls since Clear()
 
   // Adaptive width estimation (inert unless adaptive_ is set).
-  SimTime base_width_ = 64;          // Configure()d initial/Clear() width
   bool adaptive_ = false;
   std::array<std::uint32_t, kGapHistBits> gap_hist_{};  // log2 inter-pop gaps
   std::uint64_t gap_samples_ = 0;    // sum of gap_hist_ (decays with it)

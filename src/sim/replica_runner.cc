@@ -7,9 +7,8 @@
 
 namespace tmesh {
 
-ReplicaRunner::ReplicaRunner(int threads, const Simulator::Options& sim_options)
-    : threads_(threads > 0 ? threads : HardwareThreads()),
-      sim_options_(sim_options) {}
+ReplicaRunner::ReplicaRunner(int threads)
+    : threads_(threads > 0 ? threads : HardwareThreads()) {}
 
 int ReplicaRunner::HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -24,19 +23,15 @@ void ReplicaRunner::Dispatch(int runs,
   std::mutex error_mu;
 
   auto worker = [&](int w) {
-    Simulator sim(sim_options_);  // one per worker; arenas persist
+    Simulator sim;  // one per worker; arenas persist
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) return;
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= runs) return;
       sim.Reset();
-      Replica r{i, w, sim, &failed};
+      Replica r{i, w, sim};
       try {
         task(r);
-      } catch (const Cancelled&) {
-        // Another replica's failure is already recorded; this replica just
-        // honoured the stop request mid-run.
-        return;
       } catch (...) {
         {
           std::lock_guard<std::mutex> lk(error_mu);

@@ -27,7 +27,6 @@
 // golden-ordering baseline, single-threaded by design.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <type_traits>
@@ -42,48 +41,19 @@ namespace tmesh {
 class ReplicaRunner {
  public:
   // threads <= 0 selects HardwareThreads(). threads == 1 is the sequential
-  // path (no worker threads, streaming merge). `sim_options` configures the
-  // worker-owned Simulators (queue discipline, calendar tuning) — geometry
-  // only, so results stay byte-identical for every value, which is exactly
-  // what lets the chunked-execution acceptance suite sweep disciplines and
-  // adaptive retuning through an unchanged figure pipeline.
-  explicit ReplicaRunner(int threads = 0,
-                         const Simulator::Options& sim_options = {});
+  // path (no worker threads, streaming merge).
+  explicit ReplicaRunner(int threads = 0);
 
   int threads() const { return threads_; }
-  const Simulator::Options& sim_options() const { return sim_options_; }
 
   // max(1, std::thread::hardware_concurrency()).
   static int HardwareThreads();
-
-  // Thrown by Replica::CheckCancelled() when another replica has already
-  // failed the pool. The runner swallows it — the first real exception is
-  // what Run() rethrows — so a body can sprinkle CheckCancelled() between
-  // RunFor slices without ever masking the failure that stopped the pool.
-  struct Cancelled {};
 
   // What the body sees for one replica.
   struct Replica {
     int index;       // replica index in [0, runs)
     int worker;      // worker slot executing this replica
     Simulator& sim;  // worker-owned; Reset() before every replica
-    // Non-null when running under a multi-worker pool: set once another
-    // replica has thrown. The failed flag is published only after the
-    // pool's first error is recorded, so a Cancelled thrown off this flag
-    // can never race ahead of the error it defers to.
-    const std::atomic<bool>* pool_failed = nullptr;
-
-    // Long-running bodies slice their simulation with RunFor and poll this
-    // between slices, so one replica's TMESH_CHECK failure stops the whole
-    // figure in bounded time instead of after every in-flight replica's
-    // full drain.
-    bool IsCancelled() const {
-      return pool_failed != nullptr &&
-             pool_failed->load(std::memory_order_relaxed);
-    }
-    void CheckCancelled() const {
-      if (IsCancelled()) throw Cancelled{};
-    }
   };
 
   // Runs body(replica) for every index in [0, runs) across the pool, then
@@ -100,7 +70,7 @@ class ReplicaRunner {
                   "the replica body must return its result");
     if (runs <= 0) return;
     if (threads_ == 1 || runs == 1) {
-      Simulator sim(sim_options_);
+      Simulator sim;
       for (int i = 0; i < runs; ++i) {
         sim.Reset();
         Replica r{i, 0, sim};
@@ -128,7 +98,6 @@ class ReplicaRunner {
   void Dispatch(int runs, const std::function<void(Replica&)>& task) const;
 
   int threads_;
-  Simulator::Options sim_options_;
 };
 
 }  // namespace tmesh

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "metrics/registry.h"
-#include "sim/parallel_driver.h"
 #include "sim/simulator.h"
 
 namespace tmesh {
@@ -20,23 +19,6 @@ inline void ExportSimMetrics(const Simulator& sim, MetricsRegistry& reg) {
       ->Add(static_cast<std::int64_t>(st.events_run));
   reg.GetCounter("sim.calendar_retunes")
       ->Add(static_cast<std::int64_t>(st.calendar_retunes));
-}
-
-// The parallel-driver counterpart: the event counts land under the same
-// "sim." keys (they provably equal the sequential run's), and the barrier
-// rounds under "psim.windows" (W-invariant, so safe to export). The
-// driver's cross_partition_sends stat depends on W and is deliberately NOT
-// exported — metrics JSON stays invariant across worker counts. A psim run
-// has no "sim.calendar_retunes" (no calendar queue) — the one key that
-// differs from a sequential run's registry.
-inline void ExportPsimMetrics(const ParallelDriver& driver,
-                              MetricsRegistry& reg) {
-  const ParallelDriver::Stats st = driver.stats();
-  reg.GetCounter("sim.events_scheduled")
-      ->Add(static_cast<std::int64_t>(st.events_scheduled));
-  reg.GetCounter("sim.events_run")
-      ->Add(static_cast<std::int64_t>(st.events_run));
-  reg.GetCounter("psim.windows")->Add(static_cast<std::int64_t>(st.windows));
 }
 
 }  // namespace tmesh

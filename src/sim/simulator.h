@@ -79,12 +79,10 @@ struct RunStatus {
 class Simulator {
  public:
   // Construction-time tuning. The discipline selects the ordering structure;
-  // the remaining knobs configure the calendar queue's geometry (ignored by
+  // adaptive_retune configures the calendar queue's geometry (ignored by
   // kBinaryHeap) and cannot affect event order, only its cost.
   struct Options {
     QueueDiscipline discipline = QueueDiscipline::kCalendar;
-    // Initial day width in microseconds; 0 keeps the built-in default.
-    SimTime bucket_width_hint = 0;
     // Re-estimate the day width per epoch from observed inter-pop gaps
     // (event_queue.h header). On by default — it can only change geometry
     // cost, never event order, and the batch-rekey workloads this repo runs
@@ -95,7 +93,7 @@ class Simulator {
 
   Simulator() : Simulator(Options{}) {}
   explicit Simulator(const Options& opts) : discipline_(opts.discipline) {
-    calendar_.Configure(opts.bucket_width_hint, opts.adaptive_retune);
+    calendar_.Configure(opts.adaptive_retune);
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -278,8 +276,8 @@ class Simulator {
 // Chunked drivers for callers that want a --step knob without writing the
 // loop themselves: step == 0 delegates to the monolithic call, step > 0
 // slices the same work into event-capped RunFor chunks. Identical results
-// either way (one RunOne path underneath); the benches and the fuzzer use
-// these to *prove* that, not merely assume it.
+// either way (one RunOne path underneath); the churn fuzzer's --step and
+// its sliced-replay test use these to *prove* that, not merely assume it.
 inline std::size_t DrainSliced(Simulator& sim, std::size_t step) {
   if (step == 0) return sim.Run();
   std::size_t total = 0;

@@ -17,15 +17,6 @@ GtItmNetwork::GtItmNetwork(const GtItmParams& params, int hosts,
   for (int i = 0; i < graph_.node_count(); ++i) routers[static_cast<std::size_t>(i)] = i;
   rng.Shuffle(routers);
   attach_router_.assign(routers.begin(), routers.begin() + hosts);
-
-  // Lookahead bound: distinct attachment routers mean every cross-host path
-  // traverses >= 1 link, so min link RTT / 2 lower-bounds the one-way delay.
-  double min_link = 0.0;
-  for (LinkId l = 0; l < graph_.link_count(); ++l) {
-    const double rtt = graph_.link(l).rtt_ms;
-    if (min_link == 0.0 || rtt < min_link) min_link = rtt;
-  }
-  min_cross_host_delay_ms_ = min_link / 2.0;
 }
 
 void GtItmNetwork::Generate(const GtItmParams& params) {

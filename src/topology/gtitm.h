@@ -72,12 +72,6 @@ class GtItmNetwork : public Network {
   double RttGateways(HostId a, HostId b) const override;
   double RttHostGateway(HostId) const override { return 0.0; }
 
-  // Hosts attach to *distinct* routers, so any cross-host path crosses at
-  // least one link; half the cheapest link RTT bounds the one-way delay.
-  double MinCrossHostDelayMs() const override {
-    return min_cross_host_delay_ms_;
-  }
-
   bool HasRouterPaths() const override { return true; }
   int link_count() const override { return graph_.link_count(); }
   void AppendPathLinks(HostId a, HostId b,
@@ -105,7 +99,6 @@ class GtItmNetwork : public Network {
 
   Graph graph_;
   int transit_router_count_ = 0;
-  double min_cross_host_delay_ms_ = 0.0;
   std::vector<RouterId> attach_router_;
   mutable std::shared_mutex spt_mu_;
   mutable std::unordered_map<RouterId, std::unique_ptr<Graph::SptResult>>

@@ -43,15 +43,6 @@ class Network {
     return a == b ? 0.0 : RttHosts(a, b) / 2.0;
   }
 
-  // A positive lower bound (ms) on OneWayDelayMs(a, b) over all pairs of
-  // *distinct* hosts — the conservative-parallel-simulation lookahead
-  // (sim/parallel_driver.h): no event at one host can affect another host
-  // sooner than this, so partitions may run [T, T+lookahead) windows
-  // independently. The bound need not be tight, only valid; topologies
-  // without a cheap bound return 0.0, which means "no lookahead, parallel
-  // driving unavailable".
-  virtual double MinCrossHostDelayMs() const { return 0.0; }
-
   // Router-level paths (for link-stress metrics). Networks without a router
   // graph (the PlanetLab RTT matrix) return false and the metrics layer
   // skips per-link accounting.

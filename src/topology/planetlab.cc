@@ -87,17 +87,6 @@ PlanetLabNetwork::PlanetLabNetwork(const PlanetLabParams& params) {
       Gw(a, b) = Gw(b, a) = rtt;
     }
   }
-
-  // Exact lookahead bound: min one-way delay over all distinct host pairs.
-  double min_rtt = 0.0;
-  for (HostId a = 0; a < n; ++a) {
-    for (HostId b = a + 1; b < n; ++b) {
-      const double rtt = access_rtt_[static_cast<std::size_t>(a)] + GwC(a, b) +
-                         access_rtt_[static_cast<std::size_t>(b)];
-      if (min_rtt == 0.0 || rtt < min_rtt) min_rtt = rtt;
-    }
-  }
-  min_cross_host_delay_ms_ = min_rtt / 2.0;
 }
 
 double PlanetLabNetwork::RttGateways(HostId a, HostId b) const {

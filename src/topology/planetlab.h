@@ -49,13 +49,6 @@ class PlanetLabNetwork : public Network {
     return access_rtt_[static_cast<std::size_t>(a)];
   }
 
-  // Exact minimum over all distinct host pairs, precomputed in the
-  // constructor (the matrix is materialized anyway, so the O(N^2) scan is
-  // free relative to filling it).
-  double MinCrossHostDelayMs() const override {
-    return min_cross_host_delay_ms_;
-  }
-
   int continent_of(HostId h) const { return continent_[static_cast<std::size_t>(h)]; }
   int site_of(HostId h) const { return site_[static_cast<std::size_t>(h)]; }
   int site_count() const { return site_count_; }
@@ -77,7 +70,6 @@ class PlanetLabNetwork : public Network {
   std::vector<int> continent_;
   std::vector<int> site_;
   int site_count_ = 0;
-  double min_cross_host_delay_ms_ = 0.0;
 };
 
 }  // namespace tmesh

@@ -45,15 +45,6 @@ class SyntheticWanNetwork : public Network {
   double RttGateways(HostId a, HostId b) const override;
   double RttHostGateway(HostId a) const override;
 
-  // Analytic lookahead bound from the band minima: every distinct pair pays
-  // two access legs plus at least the same-site gateway band, so
-  // RTT >= 2*access_rtt_min + same_site_rtt_min regardless of which band the
-  // hash draws land in. Not tight, but valid for every (seed, pair) — which
-  // is all the conservative parallel driver needs.
-  double MinCrossHostDelayMs() const override {
-    return (2.0 * p_.access_rtt_min + p_.same_site_rtt_min) / 2.0;
-  }
-
   int continent_of(HostId h) const { return ContinentOfSite(site_of(h)); }
   int site_of(HostId h) const;
   int site_count() const { return sites_; }

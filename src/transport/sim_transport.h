@@ -131,17 +131,6 @@ class SimTransport final : public Transport {
     sim_.ScheduleAt(when, std::move(fn));
   }
 
-  // Host→partition routing is the parallel driver's concern; the sequential
-  // simulator has one global (time, seq) queue, so the affinity tag carries
-  // no information here and the event takes the exact same path (and seq)
-  // as a plain ScheduleAt. Explicit rather than inherited so the identity
-  // contract — same byte stream whether events are host-tagged or not — is
-  // stated where SimTransport readers will look for it.
-  void ScheduleClosureAtHost(HostId /*affine*/, SimTime when,
-                             TransportClosure fn) override {
-    sim_.ScheduleAt(when, std::move(fn));
-  }
-
  private:
   friend class SimFabric;
 

@@ -19,8 +19,9 @@
 //    never runs backwards, and every callback observes Now() >= the instant
 //    it was scheduled for... minus nothing: a timer for T fires with
 //    Now() >= T.
-//  * ScheduleIn/ScheduleAt run a closure once, later. Closures scheduled
-//    for the same instant fire in schedule order (FIFO among ties) — the
+//  * ScheduleIn/ScheduleAt/ScheduleAtHost run a closure once, later.
+//    Closures scheduled for the same instant fire in schedule order (FIFO
+//    among ties, whichever of the three scheduled them) — the
 //    simulator's (time, seq) determinism contract, honored by the UDP
 //    timer queue as well. ScheduleAt(when < Now()) is a checked error under
 //    the simulator (virtual time cannot re-enter the past; protocol code
@@ -202,28 +203,16 @@ class Transport {
     ScheduleClosureAt(when, TransportClosure(std::forward<Fn>(fn)));
   }
 
-  // ScheduleAt with a host-affinity tag: `affine` names the host whose state
-  // the closure touches (the receiving member for a delivery, the sender for
-  // a retransmit timer). On sequential transports this is identical to
-  // ScheduleAt — the tag is advisory and the default ScheduleClosureAtHost
-  // drops it — but the conservative parallel driver (sim/parallel_driver.h)
-  // routes the event to the partition owning that host, so protocol code
-  // that tags every event correctly can run partitioned with byte-identical
-  // results. Cross-partition schedules must respect the lookahead: `when`
-  // at least one lookahead past the current window start (checked).
+  // ScheduleAt with a host tag: `affine` names the host whose state the
+  // closure touches (the receiving member for a delivery, the sender for a
+  // retransmit timer). Ordering is exactly ScheduleAt's (deadline, then
+  // FIFO); the tag only lets a wrapper transport tell T-mesh hops apart
+  // from other events (the default ScheduleClosureAtHost drops it).
   template <class Fn>
   void ScheduleAtHost(HostId affine, SimTime when, Fn&& fn) {
     ScheduleClosureAtHost(affine, when,
                           TransportClosure(std::forward<Fn>(fn)));
   }
-
-  // Execution-lane introspection for per-lane scratch state. Sequential
-  // transports run everything on one lane; the parallel driver reports one
-  // lane per worker and the lane of the currently executing event. Protocol
-  // code sizes scratch arrays by ExecLanes() and indexes them by ExecLane(),
-  // which keeps the sequential path literally unchanged (lane 0 always).
-  virtual std::size_t ExecLanes() const { return 1; }
-  virtual std::size_t ExecLane() const { return 0; }
 
   // Cancellable one-shot timer. Kept separate from Schedule* so the
   // fire-and-forget path carries no cancellation bookkeeping.
@@ -247,9 +236,7 @@ class Transport {
   // The one virtual hop under ScheduleIn/ScheduleAt.
   virtual void ScheduleClosureAt(SimTime when, TransportClosure fn) = 0;
 
-  // The virtual hop under ScheduleAtHost. Default: ignore the affinity tag
-  // (sequential transports have one queue; host routing is a partitioned-
-  // driver concern).
+  // The virtual hop under ScheduleAtHost. Default: ignore the host tag.
   virtual void ScheduleClosureAtHost(HostId affine, SimTime when,
                                      TransportClosure fn) {
     (void)affine;

@@ -171,7 +171,7 @@ TEST(Registry, CrossReplicaMergeIsThreadCountInvariant) {
   constexpr int kRuns = 12;
   auto run_with = [&](int threads) {
     MetricsRegistry agg;
-    ReplicaRunner runner(threads, {});
+    ReplicaRunner runner(threads);
     runner.Run(
         kRuns,
         [](ReplicaRunner::Replica& rep) {

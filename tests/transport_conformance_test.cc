@@ -6,10 +6,10 @@
 //   * UdpTransport endpoints exchanging real datagrams over 127.0.0.1.
 //
 // The typed tests pin the portable contract — deadline-then-FIFO timer
-// ordering, clock monotonicity at fire time, self-send loopback, payload
-// integrity for wire.cc frames, and CancelTimer semantics — so protocol
-// code written against Transport behaves identically on the simulator and
-// on the wall clock.
+// ordering (plain and host-tagged schedules alike), clock monotonicity at
+// fire time, self-send loopback, payload integrity for wire.cc frames, and
+// CancelTimer semantics — so protocol code written against Transport
+// behaves identically on the simulator and on the wall clock.
 //
 // The SimByteIdentity suite pins the stronger, simulator-only guarantee
 // the whole repo leans on: SimTransport delegates scheduling 1:1 to
@@ -139,16 +139,21 @@ TYPED_TEST(TransportConformanceTest, SameDeadlineTimersFireInScheduleOrder) {
   Transport& t = this->h_.a();
   State& st = this->st_;
   // One base deadline far enough out that every schedule call lands before
-  // it even on a wall clock; two exact ties at base and two at base + 5 ms.
+  // it even on a wall clock; three exact ties at base and three at
+  // base + 5 ms. Host-tagged schedules (T-mesh's per-hop path) interleave
+  // with plain ones and must join the same (deadline, FIFO) order, whatever
+  // host they name.
   const SimTime base = t.Now() + FromMillis(50);
   t.ScheduleAt(base + FromMillis(5), st.Hit(0));
-  t.ScheduleAt(base, st.Hit(1));
-  t.ScheduleAt(base + FromMillis(5), st.Hit(2));  // tie with 0
-  t.ScheduleAt(base, st.Hit(3));                  // tie with 1
-  t.ScheduleIn(0, st.Hit(4));                     // fires first
-  ASSERT_TRUE(this->h_.WaitUntil([&] { return st.OrderSize() == 5; }));
+  t.ScheduleAtHost(2, base, st.Hit(1));
+  t.ScheduleAt(base + FromMillis(5), st.Hit(2));           // tie with 0
+  t.ScheduleAt(base, st.Hit(3));                           // tie with 1
+  t.ScheduleAtHost(1, base + FromMillis(5), st.Hit(5));    // tie with 0, 2
+  t.ScheduleAtHost(t.local_host(), base, st.Hit(6));       // tie with 1, 3
+  t.ScheduleIn(0, st.Hit(4));                              // fires first
+  ASSERT_TRUE(this->h_.WaitUntil([&] { return st.OrderSize() == 7; }));
   std::lock_guard<std::mutex> lock(st.mu);
-  EXPECT_EQ(st.order, (std::vector<int>{4, 1, 3, 0, 2}));
+  EXPECT_EQ(st.order, (std::vector<int>{4, 1, 3, 6, 0, 2, 5}));
 }
 
 TYPED_TEST(TransportConformanceTest, CallbacksObserveNowAtOrAfterDeadline) {
