@@ -157,14 +157,27 @@ class DigitString {
     return s;
   }
 
- private:
-  // The digits as one word, digit 0 in the most significant byte.
+  // The digits as one word, digit 0 in the most significant byte and zeros
+  // past size(). Two strings of the same length are equal iff their words
+  // are, so the word alone keys a table of one length.
   std::uint64_t Word() const {
     static_assert(kMaxDigits == 8, "Word() packs exactly eight digits");
     std::uint64_t w;
     std::memcpy(&w, digits_.data(), sizeof w);
     return ToBigEndian(w);
   }
+
+  // Inverse of Word(): the `size`-digit string whose word is `word`.
+  static DigitString FromWord(std::uint64_t word, int size) {
+    TMESH_CHECK(size >= 0 && size <= kMaxDigits);
+    TMESH_CHECK((word & ~PrefixMask(size)) == 0);
+    DigitString s;
+    s.size_ = static_cast<std::uint8_t>(size);
+    s.SetWord(word);
+    return s;
+  }
+
+ private:
   void SetWord(std::uint64_t w) {
     w = ToBigEndian(w);
     std::memcpy(digits_.data(), &w, sizeof w);

@@ -1,13 +1,56 @@
 #include "core/modified_key_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <thread>
 
 #include "common/check.h"
 
 namespace tmesh {
 
-ModifiedKeyTree::ModifiedKeyTree(int depth) : depth_(depth) {
+const ModifiedKeyTree::Cell* ModifiedKeyTree::LevelTable::Find(
+    std::uint64_t word) const {
+  if (cells_.empty()) return nullptr;
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t i = Home(word);; i = (i + 1) & mask) {
+    const Cell& c = cells_[i];
+    if (c.slot == kUnused) return nullptr;
+    if (c.word == word) return &c;
+  }
+}
+
+ModifiedKeyTree::Cell& ModifiedKeyTree::LevelTable::FindOrInsert(
+    std::uint64_t word) {
+  if (2 * (used_ + 1) > cells_.size()) Grow();
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t i = Home(word);; i = (i + 1) & mask) {
+    Cell& c = cells_[i];
+    if (c.slot == kUnused) {
+      c.word = word;
+      c.slot = kPruned;
+      ++used_;
+      return c;
+    }
+    if (c.word == word) return c;
+  }
+}
+
+void ModifiedKeyTree::LevelTable::Grow() {
+  std::vector<Cell> old = std::move(cells_);
+  cells_.assign(old.empty() ? 8 : 2 * old.size(), Cell{});
+  shift_ = 64 - std::countr_zero(cells_.size());
+  const std::size_t mask = cells_.size() - 1;
+  for (const Cell& c : old) {
+    if (c.slot == kUnused) continue;
+    std::size_t i = Home(c.word);
+    while (cells_[i].slot != kUnused) i = (i + 1) & mask;
+    cells_[i] = c;
+  }
+}
+
+ModifiedKeyTree::ModifiedKeyTree(int depth)
+    : depth_(depth), levels_(static_cast<std::size_t>(depth) + 1) {
   TMESH_CHECK(depth >= 1 && depth <= kMaxDigits);
 }
 
@@ -24,15 +67,6 @@ std::int32_t ModifiedKeyTree::NewNode(const DigitString& id) {
   n = Node{};
   n.id = id;
   n.in_use = true;
-  // A re-created node must not reuse the versions its previous incarnation
-  // handed out — a departed member still holds those keys, and a version
-  // collision would let it decrypt the new key chain (fuzzer find; repro
-  // tests/fuzz_repros/keytree_version_reuse_forward_secrecy.repro).
-  auto retired = retired_versions_.find(id);
-  if (retired != retired_versions_.end()) {
-    n.version = retired->second + 1;
-  }
-  index_[id] = slot;
   if (id.size() < depth_) ++knode_count_;
   return slot;
 }
@@ -40,7 +74,6 @@ std::int32_t ModifiedKeyTree::NewNode(const DigitString& id) {
 void ModifiedKeyTree::FreeNode(std::int32_t slot) {
   Node& n = pool_[static_cast<std::size_t>(slot)];
   if (n.id.size() < depth_) --knode_count_;
-  index_.erase(n.id);
   n = Node{};  // clears the dirty stamp: freed slots must not be collected
   free_slots_.push_back(slot);
 }
@@ -57,65 +90,77 @@ void ModifiedKeyTree::Join(const UserId& u) {
   TMESH_CHECK(u.size() == depth_);
   TMESH_CHECK_MSG(Find(u) == -1, "join of present user " + u.ToString());
   for (int len = 0; len <= depth_; ++len) {
-    DigitString p = u.Prefix(len);
-    std::int32_t slot = Find(p);
-    if (slot == -1) slot = NewNode(p);
+    const DigitString p = u.Prefix(len);
+    Cell& cell = levels_[static_cast<std::size_t>(len)].FindOrInsert(p.Word());
+    if (cell.slot < 0) {
+      // A re-created node resumes one past the last version its previous
+      // incarnation handed out — a departed member still holds those keys,
+      // and a version collision would let it decrypt the new key chain
+      // (fuzzer find; repro
+      // tests/fuzz_repros/keytree_version_reuse_forward_secrecy.repro).
+      ++cell.version;
+      cell.slot = NewNode(p);
+    }
     if (len < depth_) {
-      pool_[static_cast<std::size_t>(slot)].SetChild(u.digit(len));
-      MarkDirty(slot);
+      pool_[static_cast<std::size_t>(cell.slot)].SetChild(u.digit(len));
+      MarkDirty(cell.slot);
     }
   }
-  changed_.insert(u);
+  changed_.push_back(u);
   ++user_count_;
 }
 
 void ModifiedKeyTree::Leave(UserId u) {
   TMESH_CHECK(u.size() == depth_);
-  std::int32_t leaf = Find(u);
-  TMESH_CHECK_MSG(leaf != -1, "leave of absent user " + u.ToString());
-  retired_versions_[u] = pool_[static_cast<std::size_t>(leaf)].version;
-  FreeNode(leaf);
-  // Prune childless k-nodes bottom-up, retiring their versions so a later
-  // re-creation cannot repeat them.
+  Cell* leaf = levels_[static_cast<std::size_t>(depth_)].Find(u.Word());
+  TMESH_CHECK_MSG(leaf != nullptr && leaf->slot >= 0,
+                  "leave of absent user " + u.ToString());
+  FreeNode(leaf->slot);
+  leaf->slot = kPruned;  // the cell keeps the retired version
+  // Prune childless k-nodes bottom-up, then stamp the surviving path for
+  // the next rekey: it still guards remaining users (pruned prefixes need
+  // no new key — they have no users left).
+  bool child_pruned = true;
   for (int len = depth_ - 1; len >= 0; --len) {
-    DigitString p = u.Prefix(len);
-    std::int32_t slot = Find(p);
-    TMESH_CHECK(slot != -1);  // prefix closure: shorter prefixes survive
-    Node& node = pool_[static_cast<std::size_t>(slot)];
-    int child_digit = u.digit(len);
-    if (Find(p.Child(child_digit)) == -1) node.ClearChild(child_digit);
-    if (node.child_count == 0) {
-      retired_versions_[p] = node.version;
-      FreeNode(slot);
+    Cell* cell =
+        levels_[static_cast<std::size_t>(len)].Find(u.Prefix(len).Word());
+    // Prefix closure: shorter prefixes of a live node are live.
+    TMESH_CHECK(cell != nullptr && cell->slot >= 0);
+    if (child_pruned) {
+      Node& node = pool_[static_cast<std::size_t>(cell->slot)];
+      node.ClearChild(u.digit(len));
+      child_pruned = node.child_count == 0;
+      if (child_pruned) {
+        FreeNode(cell->slot);
+        cell->slot = kPruned;
+        continue;
+      }
     }
+    MarkDirty(cell->slot);
   }
-  // The surviving path still guards remaining users: stamp it for the next
-  // rekey (pruned prefixes need no new key — they have no users left).
-  for (int len = 0; len < depth_; ++len) {
-    std::int32_t slot = Find(u.Prefix(len));
-    if (slot != -1) MarkDirty(slot);
-  }
-  changed_.insert(u);
+  changed_.push_back(u);
   --user_count_;
 }
 
-void ModifiedKeyTree::EmitNode(std::int32_t slot,
-                               std::vector<Encryption>& out) {
-  Node& node = pool_[static_cast<std::size_t>(slot)];
-  ++node.version;
+void ModifiedKeyTree::EmitNode(const Pending& p, std::vector<Encryption>& out) {
+  const std::size_t level = static_cast<std::size_t>(p.id.size());
+  Cell* self = levels_[level].Find(p.id.Word());
+  TMESH_DCHECK(self != nullptr && self->slot == p.slot);
+  const std::uint32_t version = ++self->version;
+  const Node& node = pool_[static_cast<std::size_t>(p.slot)];
+  const LevelTable& children = levels_[level + 1];
   // Ascending-digit child order (the seed's std::set iteration).
   for (int w = 0; w < kChildWords; ++w) {
     std::uint64_t bits = node.child_bits[w];
     while (bits != 0) {
       int digit = w * 64 + __builtin_ctzll(bits);
       bits &= bits - 1;
-      DigitString child = node.id.Child(digit);
       Encryption e;
-      e.enc_key_id = child;  // "the ID of an encryption is the ID of the
-                             // encrypting key" (§2.4)
-      e.new_key_id = node.id;
-      e.new_key_version = node.version;
-      e.enc_key_version = pool_[static_cast<std::size_t>(Find(child))].version;
+      e.enc_key_id = p.id.Child(digit);  // "the ID of an encryption is the
+                                         // ID of the encrypting key" (§2.4)
+      e.new_key_id = p.id;
+      e.new_key_version = version;
+      e.enc_key_version = children.Find(e.enc_key_id.Word())->version;
       out.push_back(e);
     }
   }
@@ -126,13 +171,13 @@ RekeyMessage ModifiedKeyTree::Rekey(int shards) {
   // Stream the dirty list: every stamped, still-alive k-node gets a new
   // key. Slots pruned after stamping were reset (stamp cleared); slots
   // reused by a new node carry a fresh stamp iff that node was re-marked.
-  std::vector<std::int32_t> updated;
+  std::vector<Pending> updated;
   updated.reserve(dirty_.size());
   for (std::int32_t slot : dirty_) {
     Node& n = pool_[static_cast<std::size_t>(slot)];
     if (n.in_use && n.dirty_epoch == epoch_ && n.id.size() < depth_) {
       n.dirty_epoch = 0;  // consume: duplicates in dirty_ collect once
-      updated.push_back(slot);
+      updated.push_back(Pending{n.id, slot});
     }
   }
   dirty_.clear();
@@ -141,56 +186,50 @@ RekeyMessage ModifiedKeyTree::Rekey(int shards) {
 
   // Deterministic deep-first order: children's new keys exist before they
   // encrypt their parents' new keys.
-  auto deep_first = [this](std::int32_t a, std::int32_t b) {
-    const DigitString& ia = pool_[static_cast<std::size_t>(a)].id;
-    const DigitString& ib = pool_[static_cast<std::size_t>(b)].id;
-    if (ia.size() != ib.size()) return ia.size() > ib.size();
-    return ia < ib;
+  auto deep_first = [](const Pending& a, const Pending& b) {
+    if (a.id.size() != b.id.size()) return a.id.size() > b.id.size();
+    return a.id < b.id;
   };
 
   RekeyMessage msg;
   if (shards <= 1 || depth_ < 2) {
     std::sort(updated.begin(), updated.end(), deep_first);
-    for (std::int32_t slot : updated) EmitNode(slot, msg.encryptions);
+    for (const Pending& p : updated) EmitNode(p, msg.encryptions);
     return msg;
   }
 
   // Sharded: bucket the non-root nodes by level-1 digit. Each bucket is a
-  // vertex-disjoint subtree, so bucket workers write disjoint version
-  // fields and read child versions only from their own bucket (or from
-  // u-nodes, which no rekey writes). The root reads level-1 versions, so
-  // it is renewed after the join barrier.
-  std::int32_t root_slot = -1;
-  std::unordered_map<int, std::size_t> bucket_of;  // digit -> buckets index
-  std::vector<int> bucket_digits;
-  std::vector<std::vector<std::int32_t>> buckets;
-  for (std::int32_t slot : updated) {
-    const DigitString& id = pool_[static_cast<std::size_t>(slot)].id;
-    if (id.size() == 0) {
-      root_slot = slot;
-      continue;
+  // vertex-disjoint subtree, so bucket workers write disjoint cells and
+  // read child versions only from their own bucket (or from u-nodes, which
+  // no rekey writes). The root reads level-1 versions, so it is renewed
+  // after the join barrier.
+  const Pending* root = nullptr;
+  std::array<std::vector<Pending>, kMaxBase> by_digit;
+  for (const Pending& p : updated) {
+    if (p.id.size() == 0) {
+      root = &p;
+    } else {
+      by_digit[static_cast<std::size_t>(p.id.digit(0))].push_back(p);
     }
-    auto [it, created] = bucket_of.try_emplace(id.digit(0), buckets.size());
-    if (created) {
-      bucket_digits.push_back(id.digit(0));
-      buckets.emplace_back();
-    }
-    buckets[it->second].push_back(slot);
+  }
+  // Non-empty buckets in ascending digit order, which is the lexicographic
+  // order of their nodes within any one level.
+  std::vector<std::vector<Pending>*> buckets;
+  for (auto& b : by_digit) {
+    if (!b.empty()) buckets.push_back(&b);
   }
 
   // Per-bucket output, segmented by level so the merge can reproduce the
-  // global (size desc, lex asc) order: at a fixed size, lexicographic order
-  // groups by the leading digit.
+  // global (size desc, lex asc) order.
   std::vector<std::vector<std::vector<Encryption>>> by_level(
       buckets.size(),
       std::vector<std::vector<Encryption>>(static_cast<std::size_t>(depth_)));
   const int workers =
       std::min<int>(shards, static_cast<int>(buckets.size()));
   auto run_bucket = [&](std::size_t b) {
-    std::sort(buckets[b].begin(), buckets[b].end(), deep_first);
-    for (std::int32_t slot : buckets[b]) {
-      int level = pool_[static_cast<std::size_t>(slot)].id.size();
-      EmitNode(slot, by_level[b][static_cast<std::size_t>(level)]);
+    std::sort(buckets[b]->begin(), buckets[b]->end(), deep_first);
+    for (const Pending& p : *buckets[b]) {
+      EmitNode(p, by_level[b][static_cast<std::size_t>(p.id.size())]);
     }
   };
   if (workers <= 1) {
@@ -210,21 +249,15 @@ RekeyMessage ModifiedKeyTree::Rekey(int shards) {
   }
 
   // Merge: levels deep-first; within a level, buckets by ascending leading
-  // digit (== lexicographic order); bucket-internal order is already
-  // lexicographic. The root comes last (size 0 sorts after everything).
-  std::vector<std::size_t> bucket_order(buckets.size());
-  for (std::size_t i = 0; i < buckets.size(); ++i) bucket_order[i] = i;
-  std::sort(bucket_order.begin(), bucket_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return bucket_digits[a] < bucket_digits[b];
-            });
+  // digit; bucket-internal order is already lexicographic. The root comes
+  // last (size 0 sorts after everything).
   for (int level = depth_ - 1; level >= 1; --level) {
-    for (std::size_t b : bucket_order) {
-      auto& seg = by_level[b][static_cast<std::size_t>(level)];
+    for (auto& segments : by_level) {
+      auto& seg = segments[static_cast<std::size_t>(level)];
       msg.encryptions.insert(msg.encryptions.end(), seg.begin(), seg.end());
     }
   }
-  if (root_slot != -1) EmitNode(root_slot, msg.encryptions);
+  if (root != nullptr) EmitNode(*root, msg.encryptions);
   return msg;
 }
 
@@ -244,11 +277,21 @@ void ModifiedKeyTree::MarkPending(const KeyId& id) {
   if (slot != -1) MarkDirty(slot);
 }
 
+std::vector<UserId> ModifiedKeyTree::PendingChanges() const {
+  std::vector<UserId> ids = changed_;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 ModifiedKeyTreeState ModifiedKeyTree::Snapshot() const {
   ModifiedKeyTreeState s;
-  s.nodes.reserve(index_.size());
-  for (const auto& [id, slot] : index_) {
-    s.nodes.emplace_back(id, pool_[static_cast<std::size_t>(slot)].version);
+  for (int level = 0; level <= depth_; ++level) {
+    for (const Cell& c : levels_[static_cast<std::size_t>(level)].cells()) {
+      if (c.slot == kUnused) continue;
+      (c.slot >= 0 ? s.nodes : s.retired)
+          .emplace_back(DigitString::FromWord(c.word, level), c.version);
+    }
   }
   for (std::int32_t slot : dirty_) {
     const Node& n = pool_[static_cast<std::size_t>(slot)];
@@ -256,28 +299,35 @@ ModifiedKeyTreeState ModifiedKeyTree::Snapshot() const {
       s.dirty.push_back(n.id);
     }
   }
-  s.changed.assign(changed_.begin(), changed_.end());
-  s.retired.assign(retired_versions_.begin(), retired_versions_.end());
+  s.changed = PendingChanges();
   auto by_depth_lex = [](const auto& a, const auto& b) {
     if (a.first.size() != b.first.size()) return a.first.size() < b.first.size();
     return a.first < b.first;
   };
   std::sort(s.nodes.begin(), s.nodes.end(), by_depth_lex);
   std::sort(s.dirty.begin(), s.dirty.end());
-  std::sort(s.changed.begin(), s.changed.end());
   std::sort(s.retired.begin(), s.retired.end());
   return s;
 }
 
 void ModifiedKeyTree::Install(const ModifiedKeyTreeState& state) {
-  TMESH_CHECK_MSG(index_.empty() && changed_.empty() && dirty_.empty(),
-                  "install requires a fresh tree");
-  retired_versions_.insert(state.retired.begin(), state.retired.end());
+  // The pool only grows, so an empty pool means no node ever existed — and
+  // no retired version of this tree's own could shadow the snapshot's.
+  TMESH_CHECK_MSG(pool_.empty(), "install requires a fresh tree");
+  for (const auto& [id, version] : state.retired) {
+    TMESH_CHECK(id.size() <= depth_);
+    levels_[static_cast<std::size_t>(id.size())].FindOrInsert(id.Word())
+        .version = version;
+  }
   // Parents precede children in the (size, lex) node order, so child bitmaps
   // can be set as nodes materialize.
   for (const auto& [id, version] : state.nodes) {
-    std::int32_t slot = NewNode(id);
-    pool_[static_cast<std::size_t>(slot)].version = version;
+    TMESH_CHECK(id.size() <= depth_);
+    Cell& cell =
+        levels_[static_cast<std::size_t>(id.size())].FindOrInsert(id.Word());
+    TMESH_CHECK_MSG(cell.slot < 0, "snapshot node listed twice");
+    cell.version = version;
+    cell.slot = NewNode(id);
     if (id.size() == depth_) ++user_count_;
     if (id.size() > 0) {
       std::int32_t parent = Find(id.Parent());
@@ -290,7 +340,7 @@ void ModifiedKeyTree::Install(const ModifiedKeyTreeState& state) {
     TMESH_CHECK_MSG(slot != -1, "snapshot dirty entry without node");
     MarkDirty(slot);
   }
-  changed_.insert(state.changed.begin(), state.changed.end());
+  changed_ = state.changed;
 }
 
 std::vector<KeyId> ModifiedKeyTree::KeysOf(const UserId& u) const {
@@ -302,44 +352,52 @@ std::vector<KeyId> ModifiedKeyTree::KeysOf(const UserId& u) const {
 }
 
 std::uint32_t ModifiedKeyTree::KeyVersion(const KeyId& id) const {
-  std::int32_t slot = Find(id);
-  return slot == -1 ? 0 : pool_[static_cast<std::size_t>(slot)].version;
+  const Cell* c = FindCell(id);
+  return c != nullptr && c->slot >= 0 ? c->version : 0;
 }
 
 void ModifiedKeyTree::CheckInvariants() const {
   int users = 0;
   int knodes = 0;
-  for (const auto& [id, slot] : index_) {
-    const Node& node = pool_[static_cast<std::size_t>(slot)];
-    TMESH_CHECK_MSG(node.in_use && node.id == id, "index/pool mismatch");
-    if (id.size() == depth_) {
-      TMESH_CHECK_MSG(node.child_count == 0, "u-node with children");
-      ++users;
-    } else {
-      TMESH_CHECK_MSG(node.child_count > 0, "childless k-node survived");
-      ++knodes;
+  std::size_t live = 0;
+  for (int level = 0; level <= depth_; ++level) {
+    for (const Cell& c : levels_[static_cast<std::size_t>(level)].cells()) {
+      if (c.slot == kUnused) continue;
+      TMESH_CHECK_MSG(c.version > 0, "cell without an issued version");
+      if (c.slot < 0) continue;
+      ++live;
+      const DigitString id = DigitString::FromWord(c.word, level);
+      const Node& node = pool_[static_cast<std::size_t>(c.slot)];
+      TMESH_CHECK_MSG(node.in_use && node.id == id, "cell/pool mismatch");
+      if (level == depth_) {
+        TMESH_CHECK_MSG(node.child_count == 0, "u-node with children");
+        ++users;
+      } else {
+        TMESH_CHECK_MSG(node.child_count > 0, "childless k-node survived");
+        ++knodes;
+      }
+      if (level > 0) {
+        std::int32_t parent = Find(id.Parent());
+        TMESH_CHECK_MSG(parent != -1, "orphan node");
+        TMESH_CHECK_MSG(
+            pool_[static_cast<std::size_t>(parent)].HasChild(id.LastDigit()),
+            "parent unaware of child");
+      }
+      int bits = 0;
+      for (int d = 0; d < kMaxBase; ++d) {
+        if (!node.HasChild(d)) continue;
+        ++bits;
+        TMESH_CHECK_MSG(Find(id.Child(d)) != -1,
+                        "child digit without child node");
+      }
+      TMESH_CHECK_MSG(bits == node.child_count, "child_count drift");
     }
-    if (id.size() > 0) {
-      std::int32_t parent = Find(id.Parent());
-      TMESH_CHECK_MSG(parent != -1, "orphan node");
-      TMESH_CHECK_MSG(
-          pool_[static_cast<std::size_t>(parent)].HasChild(id.LastDigit()),
-          "parent unaware of child");
-    }
-    int bits = 0;
-    for (int d = 0; d < kMaxBase; ++d) {
-      if (!node.HasChild(d)) continue;
-      ++bits;
-      TMESH_CHECK_MSG(Find(id.Child(d)) != -1,
-                      "child digit without child node");
-    }
-    TMESH_CHECK_MSG(bits == node.child_count, "child_count drift");
   }
   std::size_t in_use = 0;
   for (const Node& n : pool_) {
     if (n.in_use) ++in_use;
   }
-  TMESH_CHECK(in_use == index_.size());
+  TMESH_CHECK(in_use == live);
   TMESH_CHECK(users == user_count_);
   TMESH_CHECK(knodes == knode_count_);
 }

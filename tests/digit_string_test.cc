@@ -99,6 +99,13 @@ TEST(DigitString, AppendRejectsOverflowLength) {
   EXPECT_THROW(s.Append(0), std::logic_error);
 }
 
+TEST(DigitString, FromWordRejectsDigitsPastTheLength) {
+  const std::uint64_t word = DigitString{1, 2}.Word();
+  EXPECT_EQ(DigitString::FromWord(word, 2), (DigitString{1, 2}));
+  EXPECT_THROW(DigitString::FromWord(word, 1), std::logic_error);
+  EXPECT_THROW(DigitString::FromWord(0, kMaxDigits + 1), std::logic_error);
+}
+
 // Byte-loop references: the comparison operations' definitions, one digit
 // at a time, through the public accessors only.
 bool RefEqual(const DigitString& a, const DigitString& b) {
@@ -148,7 +155,8 @@ std::size_t RefHash(const DigitString& s) {
 // {0, 1, 254, 255}, built through every constructor and mutator that can
 // shorten or rewrite a string (Prefix, Parent, SetDigit, FromDigits), agrees
 // with the byte-loop references on ==, <, IsPrefixOf, CommonPrefixLen and
-// Hash.
+// Hash; its packed word decides equality at equal length and round-trips
+// through FromWord.
 TEST(DigitString, ComparisonsMatchByteLoopReference) {
   const int kDigits[] = {0, 1, 254, 255};
   std::vector<DigitString> pool;
@@ -193,12 +201,18 @@ TEST(DigitString, ComparisonsMatchByteLoopReference) {
       ++mismatches;
       if (first.empty()) first = "Hash " + a.ToString();
     }
+    if (DigitString::FromWord(a.Word(), a.size()) != a) {
+      ++mismatches;
+      if (first.empty()) first = "FromWord " + a.ToString();
+    }
     for (const DigitString& b : pool) {
       const bool ok = (a == b) == RefEqual(a, b) &&
                       (a != b) == !RefEqual(a, b) &&
                       (a < b) == RefLess(a, b) &&
                       a.IsPrefixOf(b) == RefIsPrefixOf(a, b) &&
-                      a.CommonPrefixLen(b) == RefCommonPrefixLen(a, b);
+                      a.CommonPrefixLen(b) == RefCommonPrefixLen(a, b) &&
+                      (a.size() != b.size() ||
+                       (a.Word() == b.Word()) == RefEqual(a, b));
       if (!ok) {
         ++mismatches;
         if (first.empty()) first = a.ToString() + " vs " + b.ToString();

@@ -7,10 +7,11 @@
 // on every schedule where both can run. This suite drives both
 // implementations through 56 randomized churn schedules (joins, leaves,
 // failures-as-leaves; WGL degrees 2/3/4/8; modified-tree shapes up to
-// depth 5 × base 6; serial and sharded rekeying) plus the streaming-rekey
-// edge cases, asserting equality at every interval. It also pins the
-// complexity contract of the flat layout via operation counters: rekey
-// work, placement scans, and MembersNeeding visits must track the affected
+// depth 5 × base 6; serial and sharded rekeying), a high-fan-out schedule
+// of hundreds of changes per interval, and the streaming-rekey edge cases,
+// asserting equality at every interval. It also pins the complexity
+// contract of the flat layout via operation counters: rekey work,
+// placement scans, and MembersNeeding visits must track the affected
 // subtree, not the population.
 
 #include <gtest/gtest.h>
@@ -272,6 +273,63 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::make_tuple(4, 4),
                                          std::make_tuple(5, 6)),
                        ::testing::Range(0, 6)));
+
+TEST(ModifiedDifferential, HighFanOutBatchesMatchSeed) {
+  // Hundreds of changes per interval at B = 64, so the level tables grow
+  // to thousands of cells and rehash with pruned cells in them; the
+  // randomized schedules above stay at a few dozen.
+  const int depth = 3, base = 64;
+  Rng rng(6403);
+  SeedModifiedKeyTree seed(depth);
+  ModifiedKeyTree serial(depth);
+  ModifiedKeyTree sharded(depth);
+  std::vector<UserId> members;
+
+  for (int interval = 0; interval < 40; ++interval) {
+    for (int j = 0; j < 400; ++j) {
+      UserId id;
+      for (int i = 0; i < depth; ++i) {
+        id.Append(static_cast<int>(rng.UniformInt(0, base - 1)));
+      }
+      if (seed.Contains(id)) continue;
+      seed.Join(id);
+      serial.Join(id);
+      sharded.Join(id);
+      members.push_back(id);
+    }
+    for (int l = 0; l < 250 && !members.empty(); ++l) {
+      std::size_t i = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(members.size()) - 1));
+      seed.Leave(members[i]);
+      serial.Leave(members[i]);
+      sharded.Leave(members[i]);
+      members[i] = members.back();
+      members.pop_back();
+    }
+    ASSERT_EQ(serial.pending_changes(), seed.pending_changes());
+    ASSERT_EQ(sharded.pending_changes(), seed.pending_changes());
+
+    RekeyMessage seed_msg = seed.Rekey();
+    ExpectSameMessage(serial.Rekey(), seed_msg, "serial interval");
+    ExpectSameMessage(sharded.Rekey(3), seed_msg, "sharded interval");
+
+    ASSERT_EQ(serial.user_count(), seed.user_count());
+    ASSERT_EQ(serial.knode_count(), seed.knode_count());
+    ASSERT_EQ(sharded.knode_count(), seed.knode_count());
+    for (const UserId& u : members) {
+      for (int len = 0; len <= depth; ++len) {
+        KeyId k = u.Prefix(len);
+        ASSERT_EQ(serial.KeyVersion(k), seed.KeyVersion(k))
+            << "key " << k.ToString();
+        ASSERT_EQ(sharded.KeyVersion(k), seed.KeyVersion(k))
+            << "key " << k.ToString();
+      }
+    }
+    serial.CheckInvariants();
+    sharded.CheckInvariants();
+    seed.CheckInvariants();
+  }
+}
 
 TEST(ModifiedStreamingRekey, JoinThenLeaveSameIntervalMatchesSeed) {
   // The joiner held the keys it was unicast, so the surviving path must

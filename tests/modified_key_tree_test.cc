@@ -131,6 +131,63 @@ TEST(ModifiedKeyTree, RejectsWrongSizeAndDuplicates) {
   EXPECT_THROW(t.Leave(UserId{1, 1, 1}), std::logic_error);
 }
 
+void ExpectSameMessage(const RekeyMessage& a, const RekeyMessage& b) {
+  ASSERT_EQ(a.encryptions.size(), b.encryptions.size());
+  for (std::size_t i = 0; i < a.encryptions.size(); ++i) {
+    EXPECT_TRUE(a.encryptions[i] == b.encryptions[i]) << "encryption " << i;
+  }
+}
+
+TEST(ModifiedKeyTree, InstallRejectsATreeThatEverHeldANode) {
+  // A tree whose members all left still remembers the versions it issued.
+  // Installed over, those would shadow the snapshot's retired chain: the
+  // tree would re-create [0] at a version the source already issued.
+  ModifiedKeyTree source(2);
+  for (int i = 0; i < 3; ++i) {
+    source.Join(UserId{0, 0});
+    (void)source.Rekey();
+    source.Leave(UserId{0, 0});
+    (void)source.Rekey();
+  }
+  ModifiedKeyTree drained(2);
+  drained.Join(UserId{0, 0});
+  (void)drained.Rekey();
+  drained.Leave(UserId{0, 0});
+  (void)drained.Rekey();
+  ASSERT_EQ(drained.user_count(), 0);
+  ASSERT_EQ(drained.pending_changes(), 0);
+  EXPECT_THROW(drained.Install(source.Snapshot()), std::logic_error);
+
+  ModifiedKeyTree fresh(2);
+  fresh.Install(source.Snapshot());
+  source.Join(UserId{0, 0});
+  fresh.Join(UserId{0, 0});
+  EXPECT_EQ(fresh.KeyVersion(DigitString{0}), source.KeyVersion(DigitString{0}));
+  ExpectSameMessage(fresh.Rekey(), source.Rekey());
+}
+
+TEST(ModifiedKeyTree, RecreatedNodeResumesRetiredVersionAcrossFailover) {
+  // Forward secrecy across a snapshot: a k-node pruned in the source and
+  // re-created after failover continues the source's version chain.
+  ModifiedKeyTree source(2);
+  source.Join(UserId{0, 0});
+  source.Join(UserId{1, 0});
+  (void)source.Rekey();
+  source.Leave(UserId{0, 0});  // prunes [0]
+  (void)source.Rekey();
+  ASSERT_EQ(source.KeyVersion(DigitString{0}), 0u);
+
+  ModifiedKeyTree standby(2);
+  standby.Install(source.Snapshot());
+  source.Join(UserId{0, 1});
+  standby.Join(UserId{0, 1});
+  EXPECT_EQ(source.KeyVersion(DigitString{0}), 3u);  // retired at v2
+  EXPECT_EQ(standby.KeyVersion(DigitString{0}),
+            source.KeyVersion(DigitString{0}));
+  ExpectSameMessage(standby.Rekey(), source.Rekey());
+  standby.CheckInvariants();
+}
+
 // Decryption-closure property: after any batch, every current member,
 // starting from the keys it held before the batch (or received at join),
 // can decrypt its whole new root path from the rekey message alone.
